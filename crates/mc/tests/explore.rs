@@ -10,11 +10,7 @@ fn flat3_exhausts_green() {
     let result = explore(&McConfig::flat3());
     assert!(result.passed(), "violations: {:?}", result.violations);
     assert!(!result.truncated, "flat3 must exhaust its bounded space");
-    assert!(
-        result.runs > 1000,
-        "the bounded space is thousands of runs, got {}",
-        result.runs
-    );
+    assert_eq!((result.runs, result.states()), (3044, 5107));
     assert!(result.completed > 0 && result.pruned > 0);
     assert_eq!(result.stuck, 0, "no reachable deadlock");
     assert!(
@@ -28,7 +24,7 @@ fn flat4_exhausts_green() {
     let result = explore(&McConfig::flat4());
     assert!(result.passed(), "violations: {:?}", result.violations);
     assert!(!result.truncated, "flat4 must exhaust its bounded space");
-    assert!(result.runs > 10_000, "got {}", result.runs);
+    assert_eq!((result.runs, result.states()), (17057, 26869));
     assert_eq!(result.stuck, 0);
 }
 
@@ -37,7 +33,7 @@ fn tree2x2_exhausts_green() {
     let result = explore(&McConfig::tree2x2());
     assert!(result.passed(), "violations: {:?}", result.violations);
     assert!(!result.truncated);
-    assert!(result.runs > 500, "got {}", result.runs);
+    assert_eq!((result.runs, result.states()), (1344, 2687));
     assert_eq!(result.stuck, 0);
 }
 

@@ -321,3 +321,42 @@ fn duplicate_and_stale_frames_are_discarded_not_applied() {
     let total_stale: usize = outcome.reports.iter().map(|r| r.stale).sum();
     assert!(total_stale >= 1, "no stale frame was counted");
 }
+
+#[test]
+fn every_built_in_plan_keeps_its_seed_42_fingerprint() {
+    // The fingerprints `isgc chaos --plan <name> --seed 42` prints with the
+    // default configuration. Any change to the worker's codeword recipe,
+    // its fault reactions or the collector shows up here as a new value.
+    const PINNED: &[(&str, u64)] = &[
+        ("smoke", 0x68f8_fc7f_15cc_7c44),
+        ("worker-flap", 0x09eb_20f4_8150_1abe),
+        ("worker-crash", 0xb2f0_52f7_156c_c42f),
+        ("master-restart", 0xea2d_edf1_d41c_f7aa),
+        ("frame-corrupt", 0xb1f5_cf3c_c858_1721),
+        ("delay", 0xea2d_edf1_d41c_f7aa),
+        ("duplicate-stale", 0xf911_8b4a_571e_69dc),
+        ("blackout", 0xe254_4d82_af36_d308),
+        ("slow-bleed", 0x823a_38d1_6c00_a163),
+        ("random", 0x5a6c_9751_f83c_7841),
+    ];
+    assert_eq!(
+        PINNED.iter().map(|&(name, _)| name).collect::<Vec<_>>(),
+        isgc_chaos::PLAN_NAMES,
+        "every named plan is pinned"
+    );
+    for &(name, fingerprint) in PINNED {
+        let mut config = ChaosConfig::new(42);
+        let p = FaultPlan::named(name, 42, config.n, config.steps as u64).expect("named plan");
+        config.degrade = p.recommended_policy(config.n, config.steps as u64);
+        let outcome = run_chaos(&p, &config).expect("run");
+        assert!(outcome.passed(), "{name}: {:?}", outcome.violations);
+        assert_eq!(
+            outcome.fingerprint, fingerprint,
+            "{name}: fingerprint {:016x}",
+            outcome.fingerprint
+        );
+    }
+    let tree = run_tree_chaos(&TreeChaosConfig::new(42)).expect("tree run");
+    assert!(tree.passed(), "submaster-crash: {:?}", tree.violations);
+    assert_eq!(tree.fingerprint, 0xad2f_10ae_9923_0360, "submaster-crash");
+}
