@@ -45,7 +45,7 @@ pub use plan::{Fault, FaultKind, FaultPlan, PLAN_NAMES};
 pub use rng::ChaosRng;
 pub use trace::{failure_fingerprint, Trace};
 pub use tree::{run_tree_chaos, TreeChaosConfig, TreeChaosOutcome};
-pub use worker::{run_chaos_worker, ChaosWorkerSummary};
+pub use worker::{run_chaos_worker, After, ChaosWorkerSummary, Emit, Misbehavior, Reaction};
 
 use std::fmt;
 

@@ -1,15 +1,21 @@
 //! A scriptable protocol client: a worker that computes honest gradients
 //! except where a [`FaultPlan`] tells it to misbehave.
 //!
-//! The client is deliberately hand-rolled rather than a wrapper around
-//! `isgc_net::run_worker`: faults like "send a corrupted frame" or "close
-//! the socket mid-step" need raw access to the stream, and determinism
-//! needs precise control of *which steps* a flapping worker misses. The
-//! rule that provides it: after any connection-killing fault at step `s`,
-//! the worker reconnects immediately but declines every step below `s + 2`.
-//! Whether the master's next broadcast catches the fresh connection or not,
-//! the worker's codeword is absent from steps `s` and `s + 1` and present
-//! from `s + 2` — independent of thread timing.
+//! The client runs the production [`WorkerCore`] and registers through the
+//! production [`isgc_net::connect`]; only its reaction to a `Params`
+//! broadcast differs. [`Misbehavior::react`] turns a scripted fault into
+//! the frames to write and what happens to the connection afterwards, and
+//! the model checker replays the very same function. Faults like "send a
+//! corrupted frame" or "close the socket mid-step" need raw access to the
+//! stream, so the client drives its socket itself rather than through
+//! `isgc_net::run_worker`.
+//!
+//! Determinism needs precise control of *which steps* a flapping worker
+//! misses. The rule that provides it: after any connection-killing fault at
+//! step `s`, the worker reconnects immediately but declines every step
+//! below `s + 2`. Whether the master's next broadcast catches the fresh
+//! connection or not, the worker's codeword is absent from steps `s` and
+//! `s + 1` and present from `s + 2` — independent of thread timing.
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
@@ -17,10 +23,9 @@ use std::thread;
 use std::time::Duration;
 
 use isgc_linalg::Vector;
-use isgc_ml::dataset::{Dataset, Partitioned};
-use isgc_ml::model::Model;
+use isgc_ml::{CodewordContext, Dataset, Model};
 use isgc_net::wire::{read_message, write_message, Message};
-use isgc_net::RetryPolicy;
+use isgc_net::{connect, RetryPolicy, WorkerCore, WorkerOptions};
 
 use crate::plan::{FaultKind, FaultPlan};
 use crate::ChaosError;
@@ -41,14 +46,137 @@ pub struct ChaosWorkerSummary {
     pub died: bool,
 }
 
+/// One thing a chaos worker writes to its connection.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Emit {
+    /// A well-formed frame.
+    Frame(Message),
+    /// Raw bytes: a corrupted or truncated codeword frame.
+    Bytes(Vec<u8>),
+}
+
+/// What happens to the connection once a reaction's frames are written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum After {
+    /// Keep serving on the same connection.
+    Stay,
+    /// Close the connection and register again.
+    Rejoin,
+    /// Close the connection and exit for good.
+    Die,
+}
+
+/// A chaos worker's whole reaction to one `Params` broadcast.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Reaction {
+    /// Pause before writing anything ([`FaultKind::Delay`]).
+    pub delay: Duration,
+    /// Frames to write, in order.
+    pub emit: Vec<Emit>,
+    /// The connection's fate afterwards.
+    pub after: After,
+    /// Whether the honest codeword for the step underway was sent.
+    pub served: bool,
+}
+
+/// The fault state a chaos worker carries across connections: the rejoin
+/// rule's decline horizon.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Misbehavior {
+    decline_until: u64,
+}
+
+impl Misbehavior {
+    /// Steps strictly below this are declined (set by connection-killing
+    /// faults).
+    pub fn decline_until(&self) -> u64 {
+        self.decline_until
+    }
+
+    /// Whether the rejoin rule declines `step` whatever the plan says;
+    /// callers skip consulting the plan for such steps.
+    pub fn rejoining(&self, step: u64) -> bool {
+        step < self.decline_until
+    }
+
+    /// The reaction to `step`'s broadcast of `params` under `fault`, built
+    /// from `core`'s honest codewords. A stale send is the codeword for
+    /// `step − 1` computed from the *current* params (a straggler finishing
+    /// the previous round), followed by a decline for `step`.
+    pub fn react<M: Model>(
+        &mut self,
+        fault: Option<FaultKind>,
+        core: &WorkerCore,
+        context: &mut CodewordContext<M>,
+        step: u64,
+        params: &Vector,
+    ) -> Reaction {
+        let decline = Emit::Frame(Message::Decline {
+            worker: core.assignment().worker as u64,
+            step,
+        });
+        let mut reaction = Reaction {
+            delay: Duration::ZERO,
+            emit: Vec::new(),
+            after: After::Stay,
+            served: false,
+        };
+        if self.rejoining(step) {
+            reaction.emit.push(decline);
+            return reaction;
+        }
+        let mut honest = |s| core.codeword(context, s, params);
+        match fault {
+            None | Some(FaultKind::Delay(_)) | Some(FaultKind::Duplicate) => {
+                let frame = honest(step);
+                if let Some(FaultKind::Delay(ms)) = fault {
+                    reaction.delay = Duration::from_millis(ms);
+                }
+                if fault == Some(FaultKind::Duplicate) {
+                    reaction.emit.push(Emit::Frame(frame.clone()));
+                }
+                reaction.emit.push(Emit::Frame(frame));
+                reaction.served = true;
+            }
+            Some(FaultKind::Stale) => {
+                if step > 0 {
+                    reaction.emit.push(Emit::Frame(honest(step - 1)));
+                }
+                reaction.emit.push(decline);
+            }
+            Some(FaultKind::Decline) => reaction.emit.push(decline),
+            Some(FaultKind::Die) => reaction.after = After::Die,
+            Some(FaultKind::Drop) => reaction.after = After::Rejoin,
+            Some(FaultKind::Corrupt) => {
+                // The magic clobbered: the master must reject the frame and
+                // drop the connection, never misparse it.
+                let mut frame = honest(step).encode();
+                frame[0] ^= 0xFF;
+                reaction.emit.push(Emit::Bytes(frame));
+                reaction.after = After::Rejoin;
+            }
+            Some(FaultKind::Truncate) => {
+                let mut frame = honest(step).encode();
+                frame.truncate(frame.len() / 2);
+                reaction.emit.push(Emit::Bytes(frame));
+                reaction.after = After::Rejoin;
+            }
+        }
+        if reaction.after == After::Rejoin {
+            self.decline_until = step + 2;
+        }
+        reaction
+    }
+}
+
 /// Runs one chaos worker against the master at `addr` until the master
 /// shuts down, the plan kills the worker permanently, or the master stays
 /// unreachable past the retry budget.
 ///
 /// `build` receives `(n, batch_size)` from the master's assignment and
 /// returns the model and full dataset (identical on every peer, by shared
-/// seed); the worker partitions the dataset exactly like the production
-/// client so its honest codewords are bit-identical to real ones.
+/// seed); honest codewords come from the production [`WorkerCore`], so they
+/// are bit-identical to real ones.
 ///
 /// # Errors
 ///
@@ -64,11 +192,17 @@ where
     M: Model,
     F: FnOnce(usize, usize) -> (M, Dataset),
 {
-    let (mut stream, mut assign) = connect(addr, preferred, retry)?;
-    let (model, dataset) = build(assign.n, assign.batch_size);
-    let partitioned = dataset.partition(assign.n);
-    // Per-partition gradient scratch reused by every codeword computation.
-    let mut scratch = model.zero_params();
+    let options = WorkerOptions {
+        retry: retry.clone(),
+        job: 0,
+        ..WorkerOptions::default()
+    };
+    let dial = || connect(addr, Some(preferred as u64), &options);
+    let (mut stream, assignment) = dial()?;
+    let (model, dataset) = build(assignment.n, assignment.batch_size);
+    let mut context = CodewordContext::new(model, dataset, assignment.n);
+    let mut core = WorkerCore::new(assignment);
+    let mut misbehavior = Misbehavior::default();
 
     let mut summary = ChaosWorkerSummary {
         worker: preferred,
@@ -77,269 +211,71 @@ where
         reconnects: 0,
         died: false,
     };
-    // Steps strictly below this are declined (set after scripted flaps).
-    let mut decline_until: u64 = 0;
+    // A fresh registration under the same slot; `None` once the master
+    // stays unreachable past the retry budget.
+    let redial = |summary: &mut ChaosWorkerSummary| -> Option<(TcpStream, WorkerCore)> {
+        let (fresh, reassign) = dial().ok()?;
+        summary.reconnects += 1;
+        Some((fresh, WorkerCore::new(reassign)))
+    };
 
     loop {
-        let message = match read_message(&mut stream) {
-            Ok(m) => m,
-            Err(_) => {
-                // Unscripted loss: the master crashed or shut down hard.
-                // Reconnect and serve whatever step it resumes at — the
-                // resumed master re-awaits full registration, so there is
-                // no mid-step rejoin race to decline around.
-                match connect(addr, preferred, retry) {
-                    Ok((fresh, reassign)) => {
-                        summary.reconnects += 1;
-                        stream = fresh;
-                        assign = reassign;
-                        continue;
-                    }
-                    Err(_) => return Ok(summary),
-                }
-            }
+        let Ok(message) = read_message(&mut stream) else {
+            // Unscripted loss: the master crashed or shut down hard.
+            // Reconnect and serve whatever step it resumes at — the resumed
+            // master re-awaits full registration, so there is no mid-step
+            // rejoin race to decline around.
+            let Some(session) = redial(&mut summary) else {
+                return Ok(summary);
+            };
+            (stream, core) = session;
+            continue;
         };
-        match message {
-            Message::Shutdown => return Ok(summary),
-            Message::Assign { partitions, .. } => {
-                // Mid-session reassignment (placement repair).
-                assign.partitions = partitions.into_iter().map(|j| j as usize).collect();
-            }
-            Message::Params { step, values } => {
-                let params = Vector::from_slice(&values);
-                if step < decline_until {
-                    let _ = write_message(&mut stream, &decline(preferred, step));
-                    continue;
-                }
-                let fault = plan.fault_for(preferred, step);
-                if fault.is_some() {
-                    summary.faults_applied += 1;
-                }
-                match fault {
-                    None => {
-                        let m = codeword(
-                            &params,
-                            preferred,
-                            step,
-                            &assign,
-                            &model,
-                            &dataset,
-                            &partitioned,
-                            &mut scratch,
-                        );
-                        let _ = write_message(&mut stream, &m);
-                        summary.codewords_sent += 1;
-                    }
-                    Some(FaultKind::Delay(ms)) => {
-                        thread::sleep(Duration::from_millis(ms));
-                        let m = codeword(
-                            &params,
-                            preferred,
-                            step,
-                            &assign,
-                            &model,
-                            &dataset,
-                            &partitioned,
-                            &mut scratch,
-                        );
-                        let _ = write_message(&mut stream, &m);
-                        summary.codewords_sent += 1;
-                    }
-                    Some(FaultKind::Duplicate) => {
-                        let frame = codeword(
-                            &params,
-                            preferred,
-                            step,
-                            &assign,
-                            &model,
-                            &dataset,
-                            &partitioned,
-                            &mut scratch,
-                        )
-                        .encode();
-                        let _ = stream.write_all(&frame);
-                        let _ = stream.write_all(&frame);
-                        summary.codewords_sent += 1;
-                    }
-                    Some(FaultKind::Stale) => {
-                        // A straggler finishing the previous round: a
-                        // codeword tagged step − 1, then a decline for the
-                        // step actually underway.
-                        if step > 0 {
-                            let m = codeword(
-                                &params,
-                                preferred,
-                                step - 1,
-                                &assign,
-                                &model,
-                                &dataset,
-                                &partitioned,
-                                &mut scratch,
-                            );
-                            let _ = write_message(&mut stream, &m);
-                        }
-                        let _ = write_message(&mut stream, &decline(preferred, step));
-                    }
-                    Some(FaultKind::Decline) => {
-                        let _ = write_message(&mut stream, &decline(preferred, step));
-                    }
-                    Some(FaultKind::Die) => {
-                        summary.died = true;
-                        return Ok(summary);
-                    }
-                    Some(kind @ (FaultKind::Drop | FaultKind::Corrupt | FaultKind::Truncate)) => {
-                        match kind {
-                            FaultKind::Corrupt => {
-                                // A codeword frame with its magic clobbered:
-                                // the master must reject the frame and drop
-                                // the connection, never misparse it.
-                                let mut frame = codeword(
-                                    &params,
-                                    preferred,
-                                    step,
-                                    &assign,
-                                    &model,
-                                    &dataset,
-                                    &partitioned,
-                                    &mut scratch,
-                                )
-                                .encode();
-                                frame[0] ^= 0xFF;
-                                let _ = stream.write_all(&frame);
-                            }
-                            FaultKind::Truncate => {
-                                let frame = codeword(
-                                    &params,
-                                    preferred,
-                                    step,
-                                    &assign,
-                                    &model,
-                                    &dataset,
-                                    &partitioned,
-                                    &mut scratch,
-                                )
-                                .encode();
-                                let _ = stream.write_all(&frame[..frame.len() / 2]);
-                            }
-                            _ => {}
-                        }
-                        drop(stream);
-                        decline_until = step + 2;
-                        match connect(addr, preferred, retry) {
-                            Ok((fresh, reassign)) => {
-                                summary.reconnects += 1;
-                                stream = fresh;
-                                assign = reassign;
-                            }
-                            Err(_) => return Ok(summary),
-                        }
-                    }
-                }
-            }
-            _ => {}
+        core.on_message(message);
+        if core.is_shut_down() {
+            return Ok(summary);
         }
-    }
-}
-
-/// The master's view of this worker's assignment, tracked client-side.
-struct ClientAssignment {
-    n: usize,
-    batch_size: usize,
-    seed: u64,
-    partitions: Vec<usize>,
-}
-
-/// Dials and handshakes under the retry policy.
-fn connect(
-    addr: SocketAddr,
-    preferred: usize,
-    retry: &RetryPolicy,
-) -> Result<(TcpStream, ClientAssignment), ChaosError> {
-    retry.run(preferred as u64, || -> Result<_, ChaosError> {
-        let mut stream = TcpStream::connect(addr).map_err(isgc_net::NetError::Io)?;
-        let _ = stream.set_nodelay(true);
-        write_message(
-            &mut stream,
-            &Message::Hello {
-                preferred: Some(preferred as u64),
-            },
-        )
-        .map_err(isgc_net::NetError::Wire)?;
-        match read_message(&mut stream).map_err(isgc_net::NetError::Wire)? {
-            Message::Assign {
-                n,
-                batch_size,
-                seed,
-                partitions,
-                ..
-            } => Ok((
-                stream,
-                ClientAssignment {
-                    n: n as usize,
-                    batch_size: batch_size as usize,
-                    seed,
-                    partitions: partitions.into_iter().map(|j| j as usize).collect(),
-                },
-            )),
-            other => {
-                Err(isgc_net::NetError::Protocol(format!("expected Assign, got {other:?}")).into())
+        let Some((step, params)) = core.take_params() else {
+            continue;
+        };
+        let fault = if misbehavior.rejoining(step) {
+            None
+        } else {
+            plan.fault_for(preferred, step)
+        };
+        if fault.is_some() {
+            summary.faults_applied += 1;
+        }
+        let reaction = misbehavior.react(fault, &core, &mut context, step, &params);
+        if !reaction.delay.is_zero() {
+            thread::sleep(reaction.delay);
+        }
+        for emit in &reaction.emit {
+            match emit {
+                Emit::Frame(m) => {
+                    let _ = write_message(&mut stream, m);
+                }
+                Emit::Bytes(b) => {
+                    let _ = stream.write_all(b);
+                }
             }
         }
-    })
-}
-
-/// A `Decline` frame for `(worker, step)`.
-fn decline(worker: usize, step: u64) -> Message {
-    Message::Decline {
-        worker: worker as u64,
-        step,
-    }
-}
-
-/// This worker's honest codeword message for `step` — the identical
-/// deterministic mini-batch and gradient-sum pipeline the production worker
-/// runs, so honest chaos codewords are bit-identical to real ones.
-#[allow(clippy::too_many_arguments)]
-fn codeword<M: Model>(
-    params: &Vector,
-    worker: usize,
-    step: u64,
-    assign: &ClientAssignment,
-    model: &M,
-    dataset: &Dataset,
-    partitioned: &Partitioned,
-    scratch: &mut Vector,
-) -> Message {
-    let mut codeword = model.zero_params();
-    for &p in &assign.partitions {
-        let batch = partitioned.minibatch(p, assign.batch_size, step, assign.seed);
-        scratch.fill_zero();
-        model.gradient_sum_into(params, dataset, &batch, scratch);
-        codeword.axpy(1.0, scratch);
-    }
-    Message::Codeword {
-        worker: worker as u64,
-        step,
-        values: codeword.into_vec(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn connect_gives_up_against_nothing() {
-        let port = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().port()
-        };
-        let addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
-        let retry = RetryPolicy {
-            base: Duration::from_millis(1),
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        };
-        assert!(connect(addr, 0, &retry).is_err());
+        if reaction.served {
+            summary.codewords_sent += 1;
+        }
+        match reaction.after {
+            After::Stay => {}
+            After::Die => {
+                summary.died = true;
+                return Ok(summary);
+            }
+            After::Rejoin => {
+                drop(stream);
+                let Some(session) = redial(&mut summary) else {
+                    return Ok(summary);
+                };
+                (stream, core) = session;
+            }
+        }
     }
 }

@@ -41,7 +41,7 @@ use crate::{Error, PartitionId, Placement, Scheme, WorkerId, WorkerSet};
 /// for custom placements.
 ///
 /// This is the single `Scheme → Decoder` dispatch point shared by the
-/// runtime, simulator, network master, and CLI.
+/// simulator, engine, network master, and CLI.
 ///
 /// # Errors
 ///

@@ -2,9 +2,9 @@
 //!
 //! The paper's pipeline — place partitions, wait for an arbitrary arrival set
 //! `W'`, decode a maximum independent set `I`, sum `ĝ = Σ_{i∈I} g_i`, step
-//! SGD (§IV–§V) — is the same whether codewords travel over OS threads and
-//! channels (`isgc-runtime`), a discrete-event simulator (`isgc-simnet`), or
-//! TCP (`isgc-net`). This crate implements that pipeline **once**, as a
+//! SGD (§IV–§V) — is the same whether codewords come from a discrete-event
+//! simulator (`isgc-simnet`), the scheduler's in-process jobs (`isgc-sched`),
+//! or TCP (`isgc-net`). This crate implements that pipeline **once**, as a
 //! [`StepEngine`] state machine, and leaves only transport to the backends:
 //!
 //! ```text
@@ -18,8 +18,8 @@
 //!    collect W', report                  callbacks: bench plots,
 //!    liveness, apply repairs)            chaos harness, crash tests)
 //!     │           │           │
-//!  runtime      simnet       net
-//!  (threads)  (sim clock)   (TCP)
+//!  simnet       sched        net
+//! (sim clock) (in-process)  (TCP)
 //! ```
 //!
 //! The engine owns every piece of step semantics the backends used to

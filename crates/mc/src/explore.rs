@@ -415,15 +415,7 @@ fn configs(cfg: &McConfig, placement: &Placement, n: usize) -> (NetConfig, Engin
 fn run_flat_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>, n: usize, c: usize) -> RunResult {
     let placement = Placement::fractional(n, c).expect("checker shapes are valid placements");
     let (net, engine_cfg) = configs(cfg, &placement, n);
-    let world = World::new(
-        Rc::clone(ctx),
-        Role::Flat,
-        n,
-        BATCH,
-        cfg.seed,
-        FEATURES,
-        SAMPLES,
-    );
+    let world = World::new(Rc::clone(ctx), Role::Flat, n, cfg.seed, FEATURES, SAMPLES);
     {
         let mut w = world.borrow_mut();
         for worker in 0..n {
@@ -467,7 +459,6 @@ fn run_tree_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>) -> RunResult {
                 Rc::clone(ctx),
                 Role::ShardWorkers,
                 n,
-                BATCH,
                 cfg.seed,
                 FEATURES,
                 SAMPLES,
@@ -504,7 +495,6 @@ fn run_tree_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>) -> RunResult {
             Rc::clone(ctx),
             Role::TreeRoot(shards.clone()),
             n,
-            BATCH,
             cfg.seed,
             FEATURES,
             SAMPLES,

@@ -8,10 +8,12 @@
 //! single decision vector. Tokens are creation indices — connection `k` is
 //! always token `k`, which keeps runs replayable.
 //!
-//! Modeled workers are *honest by construction*: their codewords follow
-//! exactly the chaos worker's recipe (per-partition deterministic
-//! mini-batch, summed gradients), so any recovery discrepancy the checker
-//! finds is the collector's fault, never the model's.
+//! Modeled workers run the production worker: each is an
+//! [`isgc_net::WorkerCore`] fed the frames its connection receives, and its
+//! reaction to a `Params` broadcast — honest or faulted — is the chaos
+//! client's own [`Misbehavior::react`]. Honest codewords are therefore the
+//! real recipe, so any recovery discrepancy the checker finds is the
+//! collector's fault, never the model's.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -19,12 +21,12 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use isgc_chaos::{Fault, FaultKind};
+use isgc_chaos::{After, Emit, Fault, FaultKind, Misbehavior};
 use isgc_linalg::Vector;
-use isgc_ml::{Dataset, LinearRegression, Model, Partitioned};
+use isgc_ml::{CodewordContext, Dataset, LinearRegression};
 use isgc_net::seam::{ModelShard, NetEvent, Token, Transport};
 use isgc_net::wire::Message;
-use isgc_net::NetError;
+use isgc_net::{Assignment, NetError, WorkerCore};
 
 use crate::sched::{fnv_bytes, fnv_start, fnv_u64, Ctx, Poison, PRUNE, STUCK};
 
@@ -45,14 +47,24 @@ pub(crate) enum Role {
 pub(crate) struct Sim {
     /// Global worker id (or shard index under [`Role::TreeRoot`]).
     pub worker: usize,
-    /// Partitions from the adopted `Assign` (chaos workers learn them the
-    /// same way).
-    pub partitions: Vec<usize>,
-    /// Mirrors the chaos worker's rejoin rule: decline every step below
-    /// this after a mid-run reconnect.
-    pub decline_until: u64,
+    /// The production worker state, built from the adopted `Assign`
+    /// (`None` for sub-master links and before adoption).
+    pub core: Option<WorkerCore>,
+    /// The chaos worker's fault state, carried across a rejoin.
+    pub misbehavior: Misbehavior,
     /// Whether the collector adopted the connection.
     pub registered: bool,
+}
+
+impl Sim {
+    fn new(worker: usize, misbehavior: Misbehavior) -> Sim {
+        Sim {
+            worker,
+            core: None,
+            misbehavior,
+            registered: false,
+        }
+    }
 }
 
 /// One virtual connection: FIFO queue toward the collector plus the rolling
@@ -74,12 +86,8 @@ pub(crate) struct World {
     /// delivery order only branches inside a collection window
     /// (registration order is immaterial under preferred-slot adoption).
     collecting: Option<u64>,
-    model: LinearRegression,
-    dataset: Dataset,
-    partitioned: Partitioned,
-    batch_size: usize,
-    seed: u64,
-    scratch: Vector,
+    /// One codeword context serves every modeled worker.
+    context: CodewordContext<LinearRegression>,
 }
 
 impl World {
@@ -87,26 +95,18 @@ impl World {
         ctx: Rc<RefCell<Ctx>>,
         role: Role,
         n: usize,
-        batch_size: usize,
         seed: u64,
         features: usize,
         samples: usize,
     ) -> Rc<RefCell<World>> {
         let dataset = Dataset::synthetic_regression(samples, features, 0.05, seed);
-        let partitioned = dataset.partition(n);
-        let model = LinearRegression::new(features);
-        let scratch = model.zero_params();
+        let context = CodewordContext::new(LinearRegression::new(features), dataset, n);
         Rc::new(RefCell::new(World {
             ctx,
             role,
             conns: Vec::new(),
             collecting: None,
-            model,
-            dataset,
-            partitioned,
-            batch_size,
-            seed,
-            scratch,
+            context,
         }))
     }
 
@@ -123,29 +123,19 @@ impl World {
 
     /// Creates a modeled worker and queues its registration `Hello`.
     pub(crate) fn spawn_worker(&mut self, worker: usize) {
-        let token = self.push_conn(Some(Sim {
-            worker,
-            partitions: Vec::new(),
-            decline_until: 0,
-            registered: false,
-        }));
-        self.enqueue(
-            token,
-            NetEvent::Hello {
-                token,
-                preferred: Some(worker as u64),
-            },
-        );
+        self.join(Sim::new(worker, Misbehavior::default()));
+    }
+
+    /// Opens a connection for `sim` and queues its registration `Hello`.
+    fn join(&mut self, sim: Sim) {
+        let preferred = Some(sim.worker as u64);
+        let token = self.push_conn(Some(sim));
+        self.enqueue(token, NetEvent::Hello { token, preferred });
     }
 
     /// Creates a modeled sub-master link and queues its `SubHello`.
     pub(crate) fn spawn_submaster(&mut self, shard: usize) {
-        let token = self.push_conn(Some(Sim {
-            worker: shard,
-            partitions: Vec::new(),
-            decline_until: 0,
-            registered: false,
-        }));
+        let token = self.push_conn(Some(Sim::new(shard, Misbehavior::default())));
         self.enqueue(
             token,
             NetEvent::SubHello {
@@ -163,156 +153,107 @@ impl World {
         }
     }
 
-    fn enqueue_decline(&mut self, token: Token, worker: usize, step: u64) {
-        self.enqueue(
-            token,
-            NetEvent::Msg {
-                token,
-                message: Message::Decline {
-                    worker: worker as u64,
-                    step,
-                },
-                bytes: 27,
-            },
-        );
-    }
-
-    fn enqueue_codeword(&mut self, token: Token, step: u64, values: Vector) {
-        let bytes = 8 * values.len() + 27;
-        self.enqueue(
-            token,
-            NetEvent::Codeword {
+    /// Queues `message` as the collector's reactor would deliver it:
+    /// codewords as decoded [`NetEvent::Codeword`]s, anything else as a
+    /// [`NetEvent::Msg`].
+    pub(crate) fn enqueue_msg(&mut self, token: Token, message: Message) {
+        let event = match message {
+            Message::Codeword { step, values, .. } => NetEvent::Codeword {
                 token,
                 step,
-                values,
-                bytes,
+                bytes: 8 * values.len() + 27,
+                values: Vector::from(values),
             },
-        );
-    }
-
-    pub(crate) fn enqueue_msg(&mut self, token: Token, message: Message) {
-        let bytes = message.encode().len();
-        self.enqueue(
-            token,
-            NetEvent::Msg {
+            message => NetEvent::Msg {
                 token,
+                bytes: message.encode().len(),
                 message,
-                bytes,
             },
-        );
+        };
+        self.enqueue(token, event);
     }
 
-    /// The honest codeword for `partitions` at `step` — byte-for-byte the
-    /// chaos worker's recipe.
-    fn codeword(&mut self, partitions: &[usize], step: u64, params: &[f64]) -> Vector {
-        let params = Vector::from_slice(params);
-        let mut codeword = self.model.zero_params();
-        for &p in partitions {
-            let batch = self
-                .partitioned
-                .minibatch(p, self.batch_size, step, self.seed);
-            self.scratch.fill_zero();
-            self.model
-                .gradient_sum_into(&params, &self.dataset, &batch, &mut self.scratch);
-            codeword.axpy(1.0, &self.scratch);
-        }
-        codeword
-    }
-
-    /// A modeled worker reacts to one `Params` broadcast: compute honestly,
-    /// or take one scripted/explored fault.
+    /// A modeled worker receives one `Params` broadcast: its core takes
+    /// the frame, and it reacts honestly or with one scripted/explored
+    /// fault through the chaos client's [`Misbehavior::react`].
     fn worker_params(&mut self, token: Token, step: u64, values: &[f64]) {
         let idx = token as usize;
-        let Some(sim) = self.conns.get(idx).and_then(|c| c.sim.clone()) else {
+        let Some(sim) = self.conns.get(idx).and_then(|c| c.sim.as_ref()) else {
             return;
         };
         let worker = sim.worker;
-        if step < sim.decline_until {
-            // Chaos rejoin rule: a flapped worker declines any step it
-            // reconnected mid-flight.
-            self.enqueue_decline(token, worker, step);
-            return;
-        }
-        let ctx_rc = Rc::clone(&self.ctx);
-        let mut ctx = ctx_rc.borrow_mut();
-        let action = if ctx.forced.is_some() {
-            ctx.forced_fault(worker, step).map(|f| f.kind)
+        let fault = if sim.misbehavior.rejoining(step) {
+            None
         } else {
-            let mut kinds: Vec<FaultKind> = Vec::new();
-            if ctx.faults.len() < ctx.max_faults {
-                match self.role {
-                    Role::Flat => {
-                        kinds.push(FaultKind::Decline);
-                        if step >= 1 {
-                            kinds.push(FaultKind::Stale);
+            let ctx_rc = Rc::clone(&self.ctx);
+            let mut ctx = ctx_rc.borrow_mut();
+            if ctx.forced.is_some() {
+                ctx.forced_fault(worker, step).map(|f| f.kind)
+            } else {
+                let mut kinds: Vec<FaultKind> = Vec::new();
+                if ctx.faults.len() < ctx.max_faults {
+                    match self.role {
+                        Role::Flat => {
+                            kinds.push(FaultKind::Decline);
+                            if step >= 1 {
+                                kinds.push(FaultKind::Stale);
+                            }
+                            if step + 1 < ctx.steps {
+                                // A duplicate at the final step is
+                                // unobservable: the second copy would never
+                                // be delivered.
+                                kinds.push(FaultKind::Duplicate);
+                            }
+                            kinds.push(FaultKind::Drop);
                         }
-                        if step + 1 < ctx.steps {
-                            // A duplicate at the final step is unobservable:
-                            // the second copy would never be delivered.
-                            kinds.push(FaultKind::Duplicate);
-                        }
-                        kinds.push(FaultKind::Drop);
+                        Role::ShardWorkers => kinds.push(FaultKind::Die),
+                        Role::TreeRoot(_) => {}
                     }
-                    Role::ShardWorkers => kinds.push(FaultKind::Die),
-                    Role::TreeRoot(_) => {}
+                }
+                let state = self.state_hash(&ctx);
+                let choice = ctx.choose(1 + kinds.len(), state);
+                match choice {
+                    None => return,
+                    Some(0) => None,
+                    Some(choice) => {
+                        let kind = kinds[choice - 1];
+                        ctx.faults.push(Fault { worker, step, kind });
+                        Some(kind)
+                    }
                 }
             }
-            let state = self.state_hash(&ctx);
-            let Some(choice) = ctx.choose(1 + kinds.len(), state) else {
-                return;
-            };
-            if choice == 0 {
-                None
-            } else {
-                let kind = kinds[choice - 1];
-                ctx.faults.push(Fault { worker, step, kind });
-                Some(kind)
-            }
         };
-        drop(ctx);
-        match action {
-            None => {
-                let cw = self.codeword(&sim.partitions, step, values);
-                self.enqueue_codeword(token, step, cw);
+        let sim = self.conns[idx].sim.as_mut().expect("checked above");
+        let Some(core) = sim.core.as_mut() else {
+            return;
+        };
+        core.on_message(Message::Params {
+            step,
+            values: values.to_vec(),
+        });
+        let (step, params) = core.take_params().expect("params just arrived");
+        let reaction = sim
+            .misbehavior
+            .react(fault, core, &mut self.context, step, &params);
+        let misbehavior = sim.misbehavior;
+        for emit in reaction.emit {
+            match emit {
+                Emit::Frame(message) => self.enqueue_msg(token, message),
+                // Raw corrupt/truncated bytes make the collector drop the
+                // connection, which the rejoin below models.
+                Emit::Bytes(_) => {}
             }
-            Some(FaultKind::Decline) => self.enqueue_decline(token, worker, step),
-            Some(FaultKind::Stale) => {
-                // Chaos stale recipe: a codeword computed from the *current*
-                // params but tagged (and batched) for the previous step,
-                // then a decline for the step actually in flight.
-                let cw = self.codeword(&sim.partitions, step - 1, values);
-                self.enqueue_codeword(token, step - 1, cw);
-                self.enqueue_decline(token, worker, step);
-            }
-            Some(FaultKind::Duplicate) => {
-                let cw = self.codeword(&sim.partitions, step, values);
-                self.enqueue_codeword(token, step, cw.clone());
-                self.enqueue_codeword(token, step, cw);
-            }
-            Some(FaultKind::Drop) => {
+        }
+        match reaction.after {
+            After::Stay => {}
+            After::Rejoin => {
                 self.enqueue(token, NetEvent::Gone { token });
                 self.conns[idx].sim = None;
-                let rejoin = Sim {
-                    worker,
-                    partitions: Vec::new(),
-                    decline_until: step + 2,
-                    registered: false,
-                };
-                let fresh = self.push_conn(Some(rejoin));
-                self.enqueue(
-                    fresh,
-                    NetEvent::Hello {
-                        token: fresh,
-                        preferred: Some(worker as u64),
-                    },
-                );
+                self.join(Sim::new(worker, misbehavior));
             }
-            Some(FaultKind::Die) => {
+            After::Die => {
                 self.enqueue(token, NetEvent::Gone { token });
                 self.conns[idx].sim = None;
-            }
-            Some(other) => {
-                debug_assert!(false, "fault kind {other:?} is not modeled by the checker");
             }
         }
     }
@@ -374,12 +315,10 @@ impl World {
             return true;
         };
         match message {
-            Message::Assign {
-                worker, partitions, ..
-            } => {
+            Message::Assign { worker, .. } => {
                 if let Some(sim) = conn.sim.as_mut() {
                     debug_assert_eq!(sim.worker as u64, worker, "adopted into a foreign slot");
-                    sim.partitions = partitions.iter().map(|&p| p as usize).collect();
+                    sim.core = Assignment::from_message(&message).map(WorkerCore::new);
                     sim.registered = true;
                 }
             }
@@ -405,13 +344,14 @@ impl World {
     fn send(&mut self, token: Token, frame: &[u8]) {
         // Mid-run repair re-assignment is the only unicast the modeled
         // peers care about.
-        if let Ok((_, Message::Assign { partitions, .. }, _)) = Message::decode_tagged(frame) {
-            if let Some(sim) = self
+        if let Ok((_, message @ Message::Assign { .. }, _)) = Message::decode_tagged(frame) {
+            if let Some(core) = self
                 .conns
                 .get_mut(token as usize)
                 .and_then(|c| c.sim.as_mut())
+                .and_then(|sim| sim.core.as_mut())
             {
-                sim.partitions = partitions.iter().map(|&p| p as usize).collect();
+                core.on_message(message);
             }
         }
     }
@@ -441,7 +381,7 @@ impl World {
                 None => h = fnv_u64(h, u64::MAX),
                 Some(sim) => {
                     h = fnv_u64(h, sim.worker as u64);
-                    h = fnv_u64(h, sim.decline_until);
+                    h = fnv_u64(h, sim.misbehavior.decline_until());
                     h = fnv_u64(h, u64::from(sim.registered));
                 }
             }

@@ -11,6 +11,8 @@
 //! - [`model`] — linear regression, logistic regression, softmax regression,
 //!   and a one-hidden-layer MLP (so both convex and non-convex losses are
 //!   covered), each exposing *summed* per-sample gradients as IS-GC requires;
+//! - [`codeword`] — the worker's codeword, the one gradient recipe every
+//!   backend shares;
 //! - [`optimizer`] — plain and momentum SGD;
 //! - [`metrics`] — accuracy and loss helpers.
 //!
@@ -38,12 +40,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codeword;
 pub mod dataset;
 pub mod evaluation;
 pub mod metrics;
 pub mod model;
 pub mod optimizer;
 
+pub use codeword::CodewordContext;
 pub use dataset::{Dataset, Partitioned};
 pub use evaluation::{train_test_split, ClassificationReport};
 pub use model::{LinearRegression, LogisticRegression, Mlp, Model, SoftmaxRegression};

@@ -16,14 +16,12 @@ use std::net::ToSocketAddrs;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use isgc_linalg::Vector;
-use isgc_ml::dataset::{Dataset, Partitioned};
-use isgc_ml::model::Model;
+use isgc_ml::{CodewordContext, Dataset, Model};
 
 use crate::reactor::{NetEvent, Reactor, Token};
 use crate::retry::RetryPolicy;
 use crate::wire::Message;
-use crate::worker::{Assignment, WorkerOptions};
+use crate::worker::{connect, Assignment, WorkerCore, WorkerOptions};
 use crate::{DelayFn, NetError};
 
 /// Event-loop granularity of the swarm (mirrors the master's).
@@ -82,9 +80,8 @@ pub struct SwarmSummary {
 
 /// One swarm member's protocol state.
 struct Member {
-    assignment: Assignment,
+    core: WorkerCore,
     done: bool,
-    clean: bool,
 }
 
 /// Runs `options.workers` worker connections to `addr` on one thread until
@@ -93,7 +90,9 @@ struct Member {
 /// `build` receives the first member's [`Assignment`] and returns the model
 /// and the **full** dataset, exactly as [`crate::run_worker`]'s builder
 /// does; all members share them (and the deterministic partitioning), so a
-/// swarm computes bit-identical codewords to `n` standalone workers.
+/// swarm computes bit-identical codewords to `n` standalone workers. Each
+/// member is a [`WorkerCore`]; every `Params` it receives is answered at
+/// once.
 ///
 /// # Errors
 ///
@@ -125,7 +124,7 @@ where
     for _ in 0..options.workers {
         // Serial blocking handshakes: at most one in flight, so the
         // master's pending-connection set never balloons.
-        let (stream, assignment) = crate::worker::connect(addr, None, &worker_options)?;
+        let (stream, assignment) = connect(addr, None, &worker_options)?;
         // No idle deadline on the member side: liveness pressure is the
         // master's job; the swarm just answers what arrives.
         let token = reactor.register_adopted(stream, None)?;
@@ -133,15 +132,15 @@ where
         members.insert(
             token,
             Member {
-                assignment,
+                core: WorkerCore::new(assignment),
                 done: false,
-                clean: false,
             },
         );
     }
     let first = first_assignment.expect("workers >= 1");
     let (model, dataset) = build(&first);
-    let partitioned = dataset.partition(first.n);
+    // One context serves every member in turn.
+    let mut context = CodewordContext::new(model, dataset, first.n);
 
     let mut summary = SwarmSummary {
         workers: members.len(),
@@ -149,11 +148,6 @@ where
         clean_shutdowns: 0,
         lost: 0,
     };
-    // The broadcast parameters are identical across members; decode them
-    // once per step instead of once per member.
-    let mut cached_params: Option<(u64, Vector)> = None;
-    // Per-partition gradient scratch shared by every member's computation.
-    let mut scratch = model.zero_params();
     let mut last_heartbeat = Instant::now();
 
     while members.values().any(|m| !m.done) {
@@ -162,7 +156,7 @@ where
             for (&token, member) in &members {
                 if !member.done {
                     let frame: Arc<[u8]> = Message::Heartbeat {
-                        worker: member.assignment.worker as u64,
+                        worker: member.core.assignment().worker as u64,
                     }
                     .encode_for_job(options.job)
                     .into();
@@ -189,46 +183,20 @@ where
                 if member.done {
                     continue;
                 }
-                match message {
-                    Message::Shutdown => {
-                        member.done = true;
-                        member.clean = true;
-                        summary.clean_shutdowns += 1;
-                        reactor.reject(token);
+                member.core.on_message(message);
+                if member.core.is_shut_down() {
+                    member.done = true;
+                    summary.clean_shutdowns += 1;
+                    reactor.reject(token);
+                } else if let Some((step, params)) = member.core.take_params() {
+                    let reply = member.core.codeword(&mut context, step, &params);
+                    let pause = (options.delay)(member.core.assignment().worker, step);
+                    if !pause.is_zero() {
+                        std::thread::sleep(pause);
                     }
-                    Message::Assign { partitions, .. } => {
-                        // Placement repair re-homed partitions onto this
-                        // member mid-run.
-                        member.assignment.partitions =
-                            partitions.into_iter().map(|j| j as usize).collect();
-                    }
-                    Message::Params { step, values } => {
-                        let params = match &cached_params {
-                            Some((s, p)) if *s == step => p.clone(),
-                            _ => {
-                                let p = Vector::from_slice(&values);
-                                cached_params = Some((step, p.clone()));
-                                p
-                            }
-                        };
-                        let reply = compute_codeword(
-                            &member.assignment,
-                            &model,
-                            &dataset,
-                            &partitioned,
-                            step,
-                            &params,
-                            &mut scratch,
-                        );
-                        let pause = (options.delay)(member.assignment.worker, step);
-                        if !pause.is_zero() {
-                            std::thread::sleep(pause);
-                        }
-                        let frame: Arc<[u8]> = reply.encode_for_job(options.job).into();
-                        reactor.send(token, frame);
-                        summary.steps_served += 1;
-                    }
-                    _ => {}
+                    let frame: Arc<[u8]> = reply.encode_for_job(options.job).into();
+                    reactor.send(token, frame);
+                    summary.steps_served += 1;
                 }
             }
             // The master never sends codewords, and members carry no idle
@@ -239,31 +207,4 @@ where
     }
     reactor.flush_all(Duration::from_secs(1));
     Ok(summary)
-}
-
-/// One member's step computation — the same deterministic mini-batch walk
-/// a standalone worker runs. `scratch` is the caller's reusable
-/// per-partition gradient buffer (contents are overwritten).
-#[allow(clippy::too_many_arguments)]
-fn compute_codeword<M: Model>(
-    assignment: &Assignment,
-    model: &M,
-    dataset: &Dataset,
-    partitioned: &Partitioned,
-    step: u64,
-    params: &Vector,
-    scratch: &mut Vector,
-) -> Message {
-    let mut codeword = model.zero_params();
-    for &p in &assignment.partitions {
-        let batch = partitioned.minibatch(p, assignment.batch_size, step, assignment.seed);
-        scratch.fill_zero();
-        model.gradient_sum_into(params, dataset, &batch, scratch);
-        codeword.axpy(1.0, scratch);
-    }
-    Message::Codeword {
-        worker: assignment.worker as u64,
-        step,
-        values: codeword.into_vec(),
-    }
 }

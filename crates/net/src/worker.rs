@@ -1,20 +1,20 @@
-//! The IS-GC worker client: connects to a master, computes per-partition
-//! gradient sums, straggles per an injected delay, and reconnects under a
-//! shared [`RetryPolicy`] when the connection drops.
+//! The IS-GC worker: [`WorkerCore`], the protocol state machine every
+//! worker loop shares, and [`run_worker`], the thread-per-connection client
+//! that drives it over TCP, straggles per an injected delay, and reconnects
+//! under a shared [`RetryPolicy`] when the connection drops.
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver};
 use isgc_linalg::Vector;
-use isgc_ml::dataset::{Dataset, Partitioned};
-use isgc_ml::model::Model;
+use isgc_ml::{CodewordContext, Dataset, Model};
 
 use crate::retry::RetryPolicy;
-use crate::wire::{read_message_tagged, write_message_for_job, Message, WireError};
+use crate::wire::{read_message_tagged, write_message_for_job, Message};
 use crate::{DelayFn, NetError};
 
 /// Tunables of the worker loop.
@@ -75,6 +75,110 @@ pub struct Assignment {
     pub partitions: Vec<usize>,
 }
 
+impl Assignment {
+    /// The assignment an `Assign` frame carries; `None` for any other
+    /// message.
+    pub fn from_message(message: &Message) -> Option<Assignment> {
+        match message {
+            Message::Assign {
+                worker,
+                n,
+                c,
+                batch_size,
+                seed,
+                partitions,
+            } => Some(Assignment {
+                worker: *worker as usize,
+                n: *n as usize,
+                c: *c as usize,
+                batch_size: *batch_size as usize,
+                seed: *seed,
+                partitions: partition_list(partitions),
+            }),
+            _ => None,
+        }
+    }
+}
+
+fn partition_list(partitions: &[u64]) -> Vec<usize> {
+    partitions.iter().map(|&j| j as usize).collect()
+}
+
+/// One worker's protocol state, free of I/O: the worker loops
+/// ([`run_worker`], [`crate::swarm`], the chaos client and the model
+/// checker's modeled workers) feed it inbound frames with
+/// [`WorkerCore::on_message`] and send the codewords it computes.
+///
+/// The rules: `Shutdown` wins over anything pending; `Assign` replaces the
+/// partition list in arrival order; the newest `Params` wins, so a worker
+/// that straggled through several rounds jumps straight to the current
+/// step; every other frame is ignored.
+#[derive(Debug, Clone)]
+pub struct WorkerCore {
+    assignment: Assignment,
+    pending: Option<(u64, Vector)>,
+    shut_down: bool,
+}
+
+impl WorkerCore {
+    /// A core serving `assignment`, with nothing pending.
+    pub fn new(assignment: Assignment) -> WorkerCore {
+        WorkerCore {
+            assignment,
+            pending: None,
+            shut_down: false,
+        }
+    }
+
+    /// The current assignment (partitions as of the last `Assign`).
+    pub fn assignment(&self) -> &Assignment {
+        &self.assignment
+    }
+
+    /// Folds one inbound frame into the state.
+    pub fn on_message(&mut self, message: Message) {
+        match message {
+            Message::Shutdown => self.shut_down = true,
+            Message::Assign { partitions, .. } => {
+                self.assignment.partitions = partition_list(&partitions);
+            }
+            Message::Params { step, values } => self.pending = Some((step, Vector::from(values))),
+            _ => {}
+        }
+    }
+
+    /// Whether the master shut the run down.
+    pub fn is_shut_down(&self) -> bool {
+        self.shut_down
+    }
+
+    /// Takes the newest pending step and its parameters; `None` when no
+    /// `Params` is pending or the run was shut down.
+    pub fn take_params(&mut self) -> Option<(u64, Vector)> {
+        if self.shut_down {
+            return None;
+        }
+        self.pending.take()
+    }
+
+    /// This worker's honest `Codeword` reply for `step`, computed from
+    /// `params` over its current partitions.
+    pub fn codeword<M: Model>(
+        &self,
+        context: &mut CodewordContext<M>,
+        step: u64,
+        params: &Vector,
+    ) -> Message {
+        let a = &self.assignment;
+        let values = context.codeword(&a.partitions, a.batch_size, a.seed, step, params);
+        Message::Codeword {
+            worker: a.worker as u64,
+            step,
+            values: values.into_vec(),
+        }
+    }
+}
+
 /// Why a worker's main loop ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShutdownCause {
@@ -108,11 +212,12 @@ enum SessionEnd {
 ///
 /// `build` receives the master's [`Assignment`] and returns the model and
 /// the **full** dataset; the worker partitions it into `n` parts itself so
-/// every peer slices identically. Each `Params` message triggers one
-/// codeword: per assigned partition, a deterministic mini-batch is drawn
-/// (`partition`, `batch_size`, `step`, `seed` — identical on any peer that
-/// would recompute it), gradient sums are accumulated, the injected delay
-/// runs, and the codeword is sent back tagged with the step.
+/// every peer slices identically. Each step's newest `Params` yields one
+/// codeword from [`WorkerCore`]: per assigned partition, a deterministic
+/// mini-batch is drawn (`partition`, `batch_size`, `step`, `seed` —
+/// identical on any peer that would recompute it), gradient sums are
+/// accumulated, the injected delay runs, and the codeword is sent back
+/// tagged with the step.
 ///
 /// A mid-session `Assign` (issued by placement repair when a peer is
 /// declared permanently dead) replaces this worker's partition list on the
@@ -138,39 +243,33 @@ where
         .next()
         .ok_or_else(|| NetError::InvalidConfig("address resolved to nothing".into()))?;
 
-    let (stream, mut assignment) = connect(addr, None, options)?;
+    let (mut stream, assignment) = connect(addr, None, options)?;
     let (model, dataset) = build(&assignment);
-    let partitioned = dataset.partition(assignment.n);
+    let mut context = CodewordContext::new(model, dataset, assignment.n);
+    let mut core = WorkerCore::new(assignment);
 
     let mut summary = WorkerSummary {
-        worker: assignment.worker,
+        worker: core.assignment().worker,
         steps_served: 0,
         reconnects: 0,
         cause: ShutdownCause::MasterShutdown,
     };
-    let mut stream = stream;
     loop {
-        let end = session(
-            stream,
-            &mut assignment,
-            &model,
-            &dataset,
-            &partitioned,
-            options,
-            &mut summary.steps_served,
-        );
-        match end {
+        match session(stream, &mut core, &mut context, options, &mut summary) {
             SessionEnd::Shutdown => {
                 summary.cause = ShutdownCause::MasterShutdown;
                 return Ok(summary);
             }
-            SessionEnd::Lost => match connect(addr, Some(assignment.worker as u64), options) {
+            SessionEnd::Lost => match connect(addr, Some(summary.worker as u64), options) {
                 Ok((fresh, reassign)) => {
                     summary.reconnects += 1;
                     // The master's Assign reflects any placement repair run
                     // while we were away; adopt it rather than computing a
                     // stale partition set.
-                    assignment.partitions = reassign.partitions;
+                    core = WorkerCore::new(Assignment {
+                        partitions: reassign.partitions,
+                        ..core.assignment().clone()
+                    });
                     stream = fresh;
                 }
                 Err(_) => {
@@ -183,10 +282,14 @@ where
 }
 
 /// Dials the master under the shared [`RetryPolicy`] and completes the
-/// `Hello`/`Assign` handshake. Also the swarm client's per-member
-/// handshake (see [`crate::swarm`]), which then hands the stream to its
-/// reactor instead of spawning threads.
-pub(crate) fn connect(
+/// `Hello`/`Assign` handshake, asking for slot `preferred` if given. Every
+/// worker loop registers through it: [`run_worker`], the swarm (which then
+/// hands the stream to its reactor) and the chaos client.
+///
+/// # Errors
+///
+/// The last attempt's failure once `options.retry` is exhausted.
+pub fn connect(
     addr: std::net::SocketAddr,
     preferred: Option<u64>,
     options: &WorkerOptions,
@@ -216,33 +319,14 @@ pub(crate) fn connect(
                     options.job
                 )));
             }
-            Ok((
-                _,
-                Message::Assign {
-                    worker,
-                    n,
-                    c,
-                    batch_size,
-                    seed,
-                    partitions,
-                },
-                _,
-            )) => {
-                let assignment = Assignment {
-                    worker: worker as usize,
-                    n: n as usize,
-                    c: c as usize,
-                    batch_size: batch_size as usize,
-                    seed,
-                    partitions: partitions.into_iter().map(|j| j as usize).collect(),
-                };
-                return Ok((stream, assignment));
-            }
-            Ok((_, other, _)) => {
-                last_err = Some(NetError::Protocol(format!(
-                    "expected Assign after Hello, got {other:?}"
-                )));
-            }
+            Ok((_, message, _)) => match Assignment::from_message(&message) {
+                Some(assignment) => return Ok((stream, assignment)),
+                None => {
+                    last_err = Some(NetError::Protocol(format!(
+                        "expected Assign after Hello, got {message:?}"
+                    )));
+                }
+            },
             Err(e) => last_err = Some(NetError::Wire(e)),
         }
     }
@@ -252,29 +336,28 @@ pub(crate) fn connect(
 /// Serves one connection until shutdown or loss.
 ///
 /// A reader thread feeds inbound messages into a channel so the main loop
-/// can *drain to the newest* `Params` — a worker that straggled through
-/// several rounds jumps straight to the current step instead of burning
-/// time on parameters the master already gave up waiting for.
+/// can drain the whole backlog into the core before computing — a worker
+/// that straggled through several rounds answers only the newest step. The
+/// heartbeat thread keeps proving liveness while the main loop sleeps in
+/// its injected delay.
 fn session<M: Model>(
     stream: TcpStream,
-    assignment: &mut Assignment,
-    model: &M,
-    dataset: &Dataset,
-    partitioned: &Partitioned,
+    core: &mut WorkerCore,
+    context: &mut CodewordContext<M>,
     options: &WorkerOptions,
-    steps_served: &mut usize,
+    summary: &mut WorkerSummary,
 ) -> SessionEnd {
     let writer = Arc::new(Mutex::new(match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return SessionEnd::Lost,
     }));
 
-    let (inbound_tx, inbound_rx) = unbounded::<Message>();
+    let (inbound_tx, inbound_rx) = mpsc::channel::<Message>();
     let reader = {
         let mut read_half = stream;
         let job = options.job;
         thread::Builder::new()
-            .name(format!("isgc-net-worker-{}-reader", assignment.worker))
+            .name(format!("isgc-net-worker-{}-reader", summary.worker))
             .spawn(move || loop {
                 match read_message_tagged(&mut read_half) {
                     Ok((frame_job, _, _)) if frame_job != job => continue,
@@ -295,23 +378,14 @@ fn session<M: Model>(
     let hb_stop = Arc::new(AtomicBool::new(false));
     let heartbeat = spawn_heartbeat(
         Arc::clone(&writer),
-        assignment.worker as u64,
+        summary.worker as u64,
         options.heartbeat_interval,
         options.retry.clone(),
         Arc::clone(&hb_stop),
         options.job,
     );
 
-    let end = serve_messages(
-        &inbound_rx,
-        &writer,
-        assignment,
-        model,
-        dataset,
-        partitioned,
-        options,
-        steps_served,
-    );
+    let end = serve_messages(&inbound_rx, &writer, core, context, options, summary);
 
     hb_stop.store(true, Ordering::Release);
     let _ = heartbeat.join();
@@ -319,74 +393,41 @@ fn session<M: Model>(
 }
 
 /// The worker's message loop proper (split out so `session` owns cleanup).
-#[allow(clippy::too_many_arguments)]
 fn serve_messages<M: Model>(
     inbound_rx: &Receiver<Message>,
-    writer: &Arc<Mutex<TcpStream>>,
-    assignment: &mut Assignment,
-    model: &M,
-    dataset: &Dataset,
-    partitioned: &Partitioned,
+    writer: &Mutex<TcpStream>,
+    core: &mut WorkerCore,
+    context: &mut CodewordContext<M>,
     options: &WorkerOptions,
-    steps_served: &mut usize,
+    summary: &mut WorkerSummary,
 ) -> SessionEnd {
-    // Per-partition gradient scratch, reused across partitions and steps so
-    // the hot loop never allocates a gradient vector.
-    let mut scratch = model.zero_params();
     loop {
         let Ok(first) = inbound_rx.recv() else {
             return SessionEnd::Lost;
         };
-        // Drain the backlog, applying every message in order: Shutdown wins
-        // outright, Assigns update the partition list immediately (they must
-        // not be skipped by the drain), and only the newest Params survives —
-        // a worker that straggled through several rounds jumps straight to
-        // the current step.
-        let mut backlog = vec![first];
+        core.on_message(first);
         while let Ok(next) = inbound_rx.try_recv() {
-            backlog.push(next);
+            core.on_message(next);
         }
-        let mut latest_params: Option<(u64, Vec<f64>)> = None;
-        for message in backlog {
-            match message {
-                Message::Shutdown => return SessionEnd::Shutdown,
-                Message::Assign { partitions, .. } => {
-                    assignment.partitions = partitions.into_iter().map(|j| j as usize).collect();
-                }
-                Message::Params { step, values } => latest_params = Some((step, values)),
-                // The master never sends anything else mid-session.
-                _ => {}
-            }
+        if core.is_shut_down() {
+            return SessionEnd::Shutdown;
         }
-        let Some((step, values)) = latest_params else {
+        let Some((step, params)) = core.take_params() else {
             continue;
         };
-        let params = Vector::from_slice(&values);
-        let mut codeword = model.zero_params();
-        for &p in &assignment.partitions {
-            let batch = partitioned.minibatch(p, assignment.batch_size, step, assignment.seed);
-            scratch.fill_zero();
-            model.gradient_sum_into(&params, dataset, &batch, &mut scratch);
-            codeword.axpy(1.0, &scratch);
-        }
-        let pause = (options.delay)(assignment.worker, step);
+        let reply = core.codeword(context, step, &params);
+        let pause = (options.delay)(summary.worker, step);
         if !pause.is_zero() {
             thread::sleep(pause);
         }
-        let reply = Message::Codeword {
-            worker: assignment.worker as u64,
-            step,
-            values: codeword.into_vec(),
-        };
         let sent = {
             let mut guard = writer.lock().expect("writer mutex poisoned");
             write_message_for_job(&mut *guard, options.job, &reply)
         };
-        match sent {
-            Ok(_) => *steps_served += 1,
-            Err(WireError::Io(_)) | Err(WireError::Closed) => return SessionEnd::Lost,
-            Err(_) => return SessionEnd::Lost,
+        if sent.is_err() {
+            return SessionEnd::Lost;
         }
+        summary.steps_served += 1;
     }
 }
 
@@ -440,6 +481,123 @@ fn spawn_heartbeat(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isgc_ml::LinearRegression;
+
+    const FEATURES: usize = 3;
+
+    fn assignment(partitions: Vec<usize>) -> Assignment {
+        Assignment {
+            worker: 2,
+            n: 4,
+            c: 1,
+            batch_size: 3,
+            seed: 17,
+            partitions,
+        }
+    }
+
+    fn dataset() -> Dataset {
+        Dataset::synthetic_regression(48, FEATURES, 0.1, 5)
+    }
+
+    fn params_msg(step: u64, fill: f64) -> Message {
+        Message::Params {
+            step,
+            values: vec![fill; FEATURES + 1],
+        }
+    }
+
+    fn assign_msg(partitions: &[u64]) -> Message {
+        Message::Assign {
+            worker: 2,
+            n: 4,
+            c: 1,
+            batch_size: 3,
+            seed: 17,
+            partitions: partitions.to_vec(),
+        }
+    }
+
+    /// The codeword recomputed independently of `isgc_ml::CodewordContext`:
+    /// a fresh gradient vector per partition, summed from zero.
+    fn reference_codeword(partitions: &[usize], step: u64, params: &Vector) -> Vec<f64> {
+        let model = LinearRegression::new(FEATURES);
+        let data = dataset();
+        let parts = data.partition(4);
+        let mut sum = vec![0.0; FEATURES + 1];
+        for &p in partitions {
+            let batch = parts.minibatch(p, 3, step, 17);
+            let g = model.gradient_sum(params, &data, &batch);
+            for (s, v) in sum.iter_mut().zip(g.as_slice()) {
+                *s += v;
+            }
+        }
+        sum
+    }
+
+    #[test]
+    fn backlog_yields_one_reply_for_the_newest_params_with_new_partitions() {
+        let mut core = WorkerCore::new(assignment(vec![2]));
+        let mut context = CodewordContext::new(LinearRegression::new(FEATURES), dataset(), 4);
+        for message in [
+            params_msg(5, 0.25),
+            assign_msg(&[2, 0]),
+            params_msg(6, -0.5),
+        ] {
+            core.on_message(message);
+        }
+        let (step, params) = core.take_params().expect("a step is pending");
+        assert_eq!(step, 6);
+        assert_eq!(params.as_slice(), &[-0.5; FEATURES + 1]);
+        assert!(
+            core.take_params().is_none(),
+            "exactly one reply per backlog"
+        );
+        assert_eq!(core.assignment().partitions, vec![2, 0]);
+
+        let Message::Codeword {
+            worker,
+            step,
+            values,
+        } = core.codeword(&mut context, step, &params)
+        else {
+            panic!("reply is a codeword");
+        };
+        assert_eq!((worker, step), (2, 6));
+        let want = reference_codeword(&[2, 0], 6, &params);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&values), bits(&want), "bitwise equal to the reference");
+    }
+
+    #[test]
+    fn shutdown_in_the_backlog_beats_pending_params() {
+        let mut core = WorkerCore::new(assignment(vec![1]));
+        core.on_message(params_msg(3, 1.0));
+        core.on_message(Message::Shutdown);
+        core.on_message(params_msg(4, 1.0));
+        assert!(core.is_shut_down());
+        assert!(core.take_params().is_none());
+    }
+
+    #[test]
+    fn heartbeats_and_other_frames_are_ignored() {
+        let mut core = WorkerCore::new(assignment(vec![1]));
+        for message in [
+            Message::Heartbeat { worker: 2 },
+            Message::Hello { preferred: Some(2) },
+            Message::Decline { worker: 2, step: 0 },
+            Message::Codeword {
+                worker: 1,
+                step: 0,
+                values: vec![1.0; FEATURES + 1],
+            },
+        ] {
+            core.on_message(message);
+        }
+        assert!(!core.is_shut_down());
+        assert!(core.take_params().is_none());
+        assert_eq!(core.assignment(), &assignment(vec![1]));
+    }
 
     #[test]
     fn default_options_are_sane() {

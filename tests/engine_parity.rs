@@ -7,7 +7,9 @@
 //! The straggler set is static (the TCP worker drains its parameter backlog
 //! to the newest step, so a worker that straggles *sometimes* can skip
 //! steps in wall-clock-dependent ways; one that straggles *always* is
-//! simply ignored every step by both backends).
+//! simply ignored every step by both backends). The swarm case runs every
+//! worker as a one-member `run_swarm` thread with no delay and waits for
+//! all `n`, so the swarm driver is held to the same bits.
 
 use std::sync::Arc;
 use std::thread;
@@ -16,7 +18,10 @@ use std::time::Duration;
 use isgc_core::Placement;
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::LinearRegression;
-use isgc_net::{run_worker, Master, NetConfig, NetTrainReport, WaitPolicy, WorkerOptions};
+use isgc_net::{
+    run_swarm, run_worker, Master, NetConfig, NetTrainReport, SwarmOptions, WaitPolicy,
+    WorkerOptions,
+};
 use isgc_simnet::policy::WaitPolicy as SimWaitPolicy;
 use isgc_simnet::trace::{StragglerTrace, TraceClusterSim};
 use isgc_simnet::trainer::{train_on_trace, CodingScheme, TrainReport, TrainingConfig};
@@ -38,10 +43,28 @@ fn shared_dataset() -> Dataset {
     Dataset::synthetic_regression(SAMPLES, FEATURES, 0.05, SEED)
 }
 
-/// Runs a real loopback TCP cluster where the stragglers sleep far longer
-/// than the fast workers take, so `FirstW(4)` ignores exactly them.
-fn run_net(placement: &Placement) -> NetTrainReport {
-    let mut config = NetConfig::new(placement.clone(), WaitPolicy::FirstW(W));
+/// How the loopback cluster's workers run.
+#[derive(Clone, Copy)]
+enum Workers {
+    /// `run_worker` threads; the stragglers sleep far longer than the fast
+    /// workers take, so `FirstW(W)` ignores exactly them.
+    Threads,
+    /// One-member `run_swarm` threads with no delay under `FirstW(N)`.
+    Swarms,
+}
+
+impl Workers {
+    fn wait(self) -> usize {
+        match self {
+            Workers::Threads => W,
+            Workers::Swarms => N,
+        }
+    }
+}
+
+/// Runs a real loopback TCP cluster.
+fn run_net(placement: &Placement, workers: Workers) -> NetTrainReport {
+    let mut config = NetConfig::new(placement.clone(), WaitPolicy::FirstW(workers.wait()));
     config.batch_size = BATCH;
     config.learning_rate = LR;
     config.loss_threshold = 0.0;
@@ -59,35 +82,39 @@ fn run_net(placement: &Placement) -> NetTrainReport {
     let master_handle =
         thread::spawn(move || master.run(&model, &dataset, &config).expect("master run"));
 
-    let workers: Vec<_> = (0..N)
-        .map(|_| {
-            let options = WorkerOptions::with_delay(Arc::new(|w, _step| {
-                if STRAGGLERS.contains(&w) {
-                    Duration::from_millis(400)
-                } else {
-                    Duration::ZERO
-                }
-            }));
-            thread::spawn(move || {
-                run_worker(addr, &options, |_assignment| {
-                    (LinearRegression::new(FEATURES), shared_dataset())
+    let build = |_: &_| (LinearRegression::new(FEATURES), shared_dataset());
+    let handles: Vec<_> = (0..N)
+        .map(|_| match workers {
+            Workers::Threads => {
+                let options = WorkerOptions::with_delay(Arc::new(|w, _step| {
+                    if STRAGGLERS.contains(&w) {
+                        Duration::from_millis(400)
+                    } else {
+                        Duration::ZERO
+                    }
+                }));
+                thread::spawn(move || {
+                    run_worker(addr, &options, build).expect("worker run");
                 })
-                .expect("worker run")
-            })
+            }
+            Workers::Swarms => thread::spawn(move || {
+                let summary = run_swarm(addr, &SwarmOptions::new(1), build).expect("swarm run");
+                assert_eq!(summary.steps_served, STEPS);
+            }),
         })
         .collect();
 
     let report = master_handle.join().expect("master thread");
-    for w in workers {
-        let _ = w.join().expect("worker thread");
+    for handle in handles {
+        handle.join().expect("worker thread");
     }
     report
 }
 
 /// Replays the identical straggler schedule through the simulator: the
-/// stragglers' upload delay dwarfs everyone else's, so `WaitForCount(4)`
+/// stragglers' upload delay dwarfs everyone else's, so `WaitForCount(W)`
 /// collects exactly the fast four each step.
-fn run_sim(placement: &Placement) -> TrainReport {
+fn run_sim(placement: &Placement, wait: usize) -> TrainReport {
     let rows: Vec<Vec<f64>> = (0..STEPS)
         .map(|_| {
             (0..N)
@@ -114,15 +141,15 @@ fn run_sim(placement: &Placement) -> TrainReport {
         &LinearRegression::new(FEATURES),
         &shared_dataset(),
         &CodingScheme::IsGc(placement.clone()),
-        &SimWaitPolicy::WaitForCount(W),
+        &SimWaitPolicy::WaitForCount(wait),
         sim,
         &config,
     )
 }
 
-fn assert_backends_agree(placement: &Placement) {
-    let net = run_net(placement);
-    let sim = run_sim(placement);
+fn assert_backends_agree(placement: &Placement, workers: Workers) {
+    let net = run_net(placement, workers);
+    let sim = run_sim(placement, workers.wait());
 
     assert_eq!(net.step_count(), STEPS);
     assert_eq!(sim.step_count(), STEPS);
@@ -151,16 +178,22 @@ fn assert_backends_agree(placement: &Placement) {
     assert_eq!(net.final_params, sim.final_params);
 
     // Sanity: the schedule did what it was built to do — the stragglers
-    // never made a step's cut on either backend.
+    // never made a step's cut on either backend, and a full wait heard
+    // everyone.
     for report in [&net, &sim] {
         for step in &report.steps {
-            for s in STRAGGLERS {
-                assert!(
-                    !step.arrivals.contains(&s),
-                    "straggler {s} arrived in step {} ({:?})",
-                    step.step,
-                    step.arrivals
-                );
+            match workers {
+                Workers::Threads => {
+                    for s in STRAGGLERS {
+                        assert!(
+                            !step.arrivals.contains(&s),
+                            "straggler {s} arrived in step {} ({:?})",
+                            step.step,
+                            step.arrivals
+                        );
+                    }
+                }
+                Workers::Swarms => assert_eq!(step.arrivals.len(), N, "step {}", step.step),
             }
         }
     }
@@ -169,11 +202,17 @@ fn assert_backends_agree(placement: &Placement) {
 #[test]
 fn fr_cluster_matches_simulator_exactly() {
     let placement = Placement::fractional(N, C).expect("valid FR placement");
-    assert_backends_agree(&placement);
+    assert_backends_agree(&placement, Workers::Threads);
 }
 
 #[test]
 fn cr_cluster_matches_simulator_exactly() {
     let placement = Placement::cyclic(N, C).expect("valid CR placement");
-    assert_backends_agree(&placement);
+    assert_backends_agree(&placement, Workers::Threads);
+}
+
+#[test]
+fn swarm_cluster_matches_simulator_exactly() {
+    let placement = Placement::cyclic(N, C).expect("valid CR placement");
+    assert_backends_agree(&placement, Workers::Swarms);
 }
