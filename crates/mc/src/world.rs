@@ -24,9 +24,9 @@ use std::time::Duration;
 use isgc_chaos::{After, Emit, Fault, FaultKind, Misbehavior};
 use isgc_linalg::Vector;
 use isgc_ml::{CodewordContext, Dataset, LinearRegression};
-use isgc_net::seam::{ModelShard, NetEvent, Token, Transport};
+use isgc_net::seam::{NetEvent, Token, Transport};
 use isgc_net::wire::Message;
-use isgc_net::{Assignment, NetError, WorkerCore};
+use isgc_net::{Assignment, NetError, ShardLoop, WorkerCore};
 
 use crate::sched::{fnv_bytes, fnv_start, fnv_u64, Ctx, Poison, PRUNE, STUCK};
 
@@ -35,8 +35,8 @@ pub(crate) enum Role {
     /// The flat master: peers are modeled workers with the full fault menu.
     Flat,
     /// The tree root: peers are sub-masters, each backed by a real
-    /// [`ModelShard`] state machine served synchronously at broadcast.
-    TreeRoot(Vec<Rc<RefCell<ModelShard>>>),
+    /// [`ShardLoop`] served synchronously at broadcast.
+    TreeRoot(Vec<Rc<RefCell<ShardLoop>>>),
     /// A shard's worker pool: modeled workers with the tree-mode fault menu
     /// (compute or die — the shard loop has no decline path).
     ShardWorkers,
@@ -161,14 +161,9 @@ impl World {
             Message::Codeword { step, values, .. } => NetEvent::Codeword {
                 token,
                 step,
-                bytes: 8 * values.len() + 27,
                 values: Vector::from(values),
             },
-            message => NetEvent::Msg {
-                token,
-                bytes: message.encode().len(),
-                message,
-            },
+            message => NetEvent::Msg { token, message },
         };
         self.enqueue(token, event);
     }

@@ -31,6 +31,7 @@
 
 pub mod checkpoint;
 pub mod master;
+pub(crate) mod membership;
 pub mod metrics;
 pub(crate) mod reactor;
 pub mod report;
@@ -42,10 +43,12 @@ pub mod wire;
 pub mod worker;
 
 pub use checkpoint::{CheckpointConfig, MasterCheckpoint};
-pub use master::{Master, MasterSession, NetConfig, StepControl};
+pub use master::{Master, MasterLoop, MasterSession, NetConfig, StepControl};
 pub use report::{NetReport, NetTrainReport, RepairEvent};
 pub use retry::RetryPolicy;
-pub use submaster::{Submaster, SubmasterOptions, SubmasterSummary};
+pub use submaster::{
+    ShardGeometry, ShardLoop, Submaster, SubmasterOptions, SubmasterSummary, TreeRootLoop,
+};
 pub use swarm::{run_swarm, SwarmOptions, SwarmSummary};
 pub use worker::{
     connect, run_worker, Assignment, ShutdownCause, WorkerCore, WorkerOptions, WorkerSummary,

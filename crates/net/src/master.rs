@@ -20,7 +20,6 @@
 //! `n` — connection lifecycle events arrive as `NetEvent`s where the old
 //! transport parked two threads per worker.
 
-use std::collections::HashMap;
 use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,7 +34,8 @@ use isgc_ml::dataset::Dataset;
 use isgc_ml::model::Model;
 
 use crate::checkpoint::{CheckpointConfig, MasterCheckpoint};
-use crate::reactor::{NetEvent, Reactor, Token};
+use crate::membership::{Inbound, Membership, Tier, POLL};
+use crate::reactor::Reactor;
 use crate::report::{NetReport, NetTrainReport};
 use crate::retry::RetryPolicy;
 use crate::seam::Transport;
@@ -214,40 +214,6 @@ pub(crate) fn engine_to_net(e: EngineError) -> NetError {
     }
 }
 
-/// What one inbound event amounted to, once slot state is updated.
-enum Dispatched {
-    /// Nothing the collection loop cares about.
-    Nothing,
-    /// A codeword: `(worker, step, values)` — already decoded in place by
-    /// the reactor, no intermediate copy.
-    Codeword(usize, u64, Vector),
-    /// A fast-fail straggler signal: `(worker, step)`.
-    Decline(usize, u64),
-}
-
-/// One worker slot as the master sees it.
-pub(crate) struct Slot {
-    /// The reactor connection currently owning this slot, if any. Tokens
-    /// are never reused, so an event from a replaced connection can always
-    /// be told apart from the current one.
-    pub(crate) conn: Option<Token>,
-    /// Whether the current connection is believed usable.
-    pub(crate) alive: bool,
-    /// Whether this slot was ever assigned to a connection.
-    pub(crate) registered: bool,
-}
-
-impl Slot {
-    /// An unregistered, unconnected slot.
-    pub(crate) fn empty() -> Slot {
-        Slot {
-            conn: None,
-            alive: false,
-            registered: false,
-        }
-    }
-}
-
 /// A listening IS-GC master. Bind first (so tests can learn the ephemeral
 /// port), then [`Master::run`] a training session.
 pub struct Master {
@@ -352,17 +318,7 @@ impl Master {
         let mut loop_state = MasterLoop::new(config.clone(), Box::new(reactor));
 
         let outcome = (|| -> Result<NetTrainReport, NetError> {
-            let mut engine = StepEngine::new(config.engine_config()).map_err(engine_to_net)?;
-            // Parameter initialization is a pure function of the seed, so a
-            // resumed master overwrites it from the checkpoint and a fresh
-            // one matches any backend given the same seed.
-            let mut params = engine.initial_params(model);
-            let (start_step, ladder) = loop_state.try_resume(&mut params)?;
-            engine
-                .resume_from(start_step, loop_state.assignments.clone())
-                .map_err(engine_to_net)?;
-            engine.resume_ladder(ladder);
-            loop_state.await_registration()?;
+            let (mut engine, params) = loop_state.start(model)?;
             let mut step_observer = FnObserver(|report: &StepReport| observer(report));
             match config.metrics.clone() {
                 Some(registry) => {
@@ -486,14 +442,7 @@ fn build_session_state<M: Model>(
     match submasters {
         None => {
             let mut loop_state = MasterLoop::new(config.clone(), Box::new(reactor));
-            let mut engine = StepEngine::new(config.engine_config()).map_err(engine_to_net)?;
-            let mut params = engine.initial_params(model);
-            let (start_step, ladder) = loop_state.try_resume(&mut params)?;
-            engine
-                .resume_from(start_step, loop_state.assignments.clone())
-                .map_err(engine_to_net)?;
-            engine.resume_ladder(ladder);
-            loop_state.await_registration()?;
+            let (engine, params) = loop_state.start(model)?;
             let session = engine.begin(model, dataset, Some(params));
             Ok((SessionCollector::Flat(loop_state), engine, session))
         }
@@ -584,17 +533,15 @@ impl<M: Model> MasterSession<M> {
     }
 }
 
-/// The master's single-threaded state machine over connection events — the
-/// engine's TCP [`Collector`]. Owns its [`Transport`] (the [`Reactor`] in
+/// The flat master's single-threaded state machine over connection events
+/// — the engine's TCP [`Collector`]. Owns its [`Transport`] (the reactor in
 /// production, a virtual network under the model checker) and polls it
-/// inline: there is no I/O thread anywhere in the master process.
-pub(crate) struct MasterLoop {
-    slots: Vec<Slot>,
-    /// Which slot each adopted connection feeds. A token missing here (or
-    /// disagreeing with `Slot::conn`) belongs to a replaced connection and
-    /// its events are ignored.
-    owner: HashMap<Token, usize>,
-    reactor: Box<dyn Transport>,
+/// inline: there is no I/O thread anywhere in the master process. Slot
+/// bookkeeping is the shared membership core; this loop adds `Assign`
+/// frames from its assignment table, collection under the [`WaitPolicy`]
+/// with declines and the stale guard, and checkpoints.
+pub struct MasterLoop {
+    members: Membership,
     config: NetConfig,
     /// Current per-worker partition lists, mirroring the engine's table;
     /// starts as the placement's and diverges when the engine runs placement
@@ -606,11 +553,13 @@ pub(crate) struct MasterLoop {
 
 impl Collector for MasterLoop {
     fn n(&self) -> usize {
-        self.slots.len()
+        self.members.len()
     }
 
     fn alive(&self) -> Vec<bool> {
-        self.slots.iter().map(|s| s.alive).collect()
+        (0..self.members.len())
+            .map(|w| self.members.is_alive(w))
+            .collect()
     }
 
     /// The engine re-homed a dead worker's partitions: mirror the table and
@@ -619,35 +568,20 @@ impl Collector for MasterLoop {
     fn on_repair(&mut self, events: &[RepairEvent], assignments: &[Vec<usize>]) {
         self.assignments = assignments.to_vec();
         let touched: std::collections::BTreeSet<usize> = events.iter().map(|e| e.to).collect();
-        for id in touched {
-            let frame: Arc<[u8]> = self
-                .assign_message(id)
-                .encode_for_job(self.config.job)
-                .into();
-            match self.slots[id].conn {
-                Some(token) => self.reactor.send(token, frame),
-                None => self.slots[id].alive = false,
-            }
-        }
+        self.reissue_assigns(&touched);
     }
 
     fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
-        let pre_stale = self.await_rejoins();
+        let assignments = &self.assignments;
+        let pre_stale = self
+            .members
+            .await_rejoins(self.config.rejoin_grace, |w| !assignments[w].is_empty());
         // One encode, shared bytes to every peer — the fast path skips the
         // `Vec<f64>` clone a `Message::Params` round-trip would cost.
         let frame: Arc<[u8]> =
             encode_params_frame(self.config.job, ctx.step, ctx.params.as_slice()).into();
-        self.broadcast_frame(&frame);
-        let collected = self.collect_step(ctx.step).map_err(backend)?;
-        Ok(Collected {
-            arrivals: collected.arrivals,
-            codewords: collected.codewords,
-            declined: collected.declined,
-            stale: collected.stale + pre_stale,
-            waited_ms: collected.waited.as_secs_f64() * 1e3,
-            duration: collected.waited.as_secs_f64(),
-            sharded: None,
-        })
+        self.members.broadcast(&frame);
+        self.collect_step(ctx.step, pre_stale).map_err(backend)
     }
 
     fn after_step(
@@ -662,260 +596,77 @@ impl Collector for MasterLoop {
 }
 
 impl MasterLoop {
-    pub(crate) fn new(config: NetConfig, reactor: Box<dyn Transport>) -> MasterLoop {
+    /// Builds the flat master loop over `transport`; no worker is
+    /// registered yet.
+    pub fn new(config: NetConfig, transport: Box<dyn Transport>) -> MasterLoop {
         let n = config.placement.n();
-        MasterLoop {
-            slots: (0..n).map(|_| Slot::empty()).collect(),
-            owner: HashMap::new(),
-            reactor,
-            assignments: (0..n)
-                .map(|w| config.placement.partitions_of(w).to_vec())
-                .collect(),
-            config,
-        }
-    }
-
-    fn n(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Notifies workers the run is over — a `Shutdown` broadcast (flushed
-    /// through the reactor) normally, or (emulating a killed process, whose
-    /// fds all close) a hard shutdown of every socket when the run ended in
-    /// a scripted crash.
-    pub(crate) fn close_peers(&mut self, crashed: bool) {
-        if !crashed {
-            let frame: Arc<[u8]> = Message::Shutdown.encode_for_job(self.config.job).into();
-            self.broadcast_frame(&frame);
-            self.reactor.flush_all(Duration::from_secs(1));
-        } else {
-            self.reactor.hard_close_all();
-        }
-    }
-
-    /// Counts one inbound frame, when a metrics registry is attached.
-    fn count_received(&self, bytes: usize) {
-        if let Some(registry) = &self.config.metrics {
-            use isgc_obs::Class::Timing;
-            registry.inc(crate::metrics::FRAMES_RECEIVED_TOTAL, &[], Timing);
-            registry.inc_by(
-                crate::metrics::BYTES_RECEIVED_TOTAL,
-                &[],
-                Timing,
-                bytes as u64,
-            );
-        }
-    }
-
-    /// The slot an adopted connection currently owns, or `None` when the
-    /// event came from a replaced (or never-registered) connection.
-    fn slot_of(&self, token: Token) -> Option<usize> {
-        let id = *self.owner.get(&token)?;
-        (self.slots[id].conn == Some(token)).then_some(id)
-    }
-
-    /// Handles one event; codewords and declines are returned to the
-    /// caller, everything else mutates slot state here.
-    fn dispatch(&mut self, event: NetEvent) -> Dispatched {
-        match event {
-            NetEvent::Hello { token, preferred } => {
-                self.register(token, preferred);
-                Dispatched::Nothing
-            }
-            // A sub-master dialing a flat master: not part of this topology;
-            // drop the connection.
-            NetEvent::SubHello { token, .. } => {
-                self.reactor.reject(token);
-                Dispatched::Nothing
-            }
-            NetEvent::Gone { token } => {
-                if let Some(id) = self.slot_of(token) {
-                    self.slots[id].alive = false;
-                    self.slots[id].conn = None;
-                }
-                self.owner.remove(&token);
-                Dispatched::Nothing
-            }
-            NetEvent::HeartbeatTimeout { token } => {
-                // The reactor's timer wheel says this connection has been
-                // silent past the heartbeat deadline: presumed dead. The
-                // socket stays open — a late message revives the slot.
-                if let Some(id) = self.slot_of(token) {
-                    self.slots[id].alive = false;
-                }
-                Dispatched::Nothing
-            }
-            NetEvent::Codeword {
-                token,
-                step,
-                values,
-                bytes,
-            } => {
-                self.count_received(bytes);
-                let Some(id) = self.slot_of(token) else {
-                    return Dispatched::Nothing; // from a replaced connection
-                };
-                self.slots[id].alive = true;
-                Dispatched::Codeword(id, step, values)
-            }
-            NetEvent::Msg {
-                token,
-                message,
-                bytes,
-            } => {
-                self.count_received(bytes);
-                let Some(id) = self.slot_of(token) else {
-                    return Dispatched::Nothing; // from a replaced connection
-                };
-                self.slots[id].alive = true;
-                match message {
-                    Message::Decline { step, .. } => Dispatched::Decline(id, step),
-                    Message::Heartbeat { .. } => Dispatched::Nothing,
-                    // Workers never send anything else (codewords arrive as
-                    // NetEvent::Codeword); ignore rather than letting one
-                    // confused peer kill the run.
-                    _ => Dispatched::Nothing,
-                }
-            }
-        }
-    }
-
-    /// Assigns a slot to a pending connection, adopting it into the
-    /// reactor (which sends `Assign` and arms the heartbeat deadline).
-    fn register(&mut self, token: Token, preferred: Option<u64>) {
-        let n = self.n();
-        let id = match preferred {
-            Some(p) if (p as usize) < n => p as usize,
-            Some(_) => {
-                // Claims a slot outside the cluster: reject.
-                self.reactor.reject(token);
-                return;
-            }
-            None => match self.slots.iter().position(|s| !s.registered) {
-                Some(free) => free,
-                None => {
-                    // Cluster is full; a worker that lost its id and
-                    // reconnected fresh would land here. Adopt the first
-                    // dead slot if any, else drop the connection.
-                    match self.slots.iter().position(|s| !s.alive) {
-                        Some(dead) => dead,
-                        None => {
-                            self.reactor.reject(token);
-                            return;
-                        }
-                    }
-                }
-            },
-        };
-        let assign: Arc<[u8]> = self
-            .assign_message(id)
-            .encode_for_job(self.config.job)
-            .into();
-        if !self
-            .reactor
-            .adopt(token, assign, Some(self.config.heartbeat_timeout))
-        {
-            return; // connection died under the Assign write
-        }
-        // The replaced connection (if any) is closed; its token can never
-        // be adopted again, so late events from it fall through slot_of.
-        if let Some(old) = self.slots[id].conn.take() {
-            self.owner.remove(&old);
-            self.reactor.reject(old);
-        }
-        let slot = &mut self.slots[id];
-        slot.conn = Some(token);
-        slot.registered = true;
-        slot.alive = true;
-        self.owner.insert(token, id);
-    }
-
-    /// Builds the `Assign` frame for worker `id` from its *current*
-    /// assignment (which placement repair may have changed).
-    fn assign_message(&self, id: usize) -> Message {
-        Message::Assign {
-            worker: id as u64,
-            n: self.n() as u64,
-            c: self.config.placement.c() as u64,
-            batch_size: self.config.batch_size as u64,
-            seed: self.config.seed,
-            partitions: self.assignments[id].iter().map(|&j| j as u64).collect(),
-        }
-    }
-
-    fn alive_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.alive).count()
-    }
-
-    /// Sends one pre-encoded frame to every alive worker. The bytes are
-    /// shared (`Arc` clones, not copies) across every peer's write queue;
-    /// a peer that fails mid-write surfaces as a queued `Gone` event and is
-    /// demoted when it is dispatched.
-    fn broadcast_frame(&mut self, frame: &Arc<[u8]>) {
-        let targets: Vec<Token> = self
-            .slots
-            .iter()
-            .filter(|s| s.alive)
-            .filter_map(|s| s.conn)
+        let assignments: Vec<Vec<usize>> = (0..n)
+            .map(|w| config.placement.partitions_of(w).to_vec())
             .collect();
-        self.reactor.broadcast(frame, &targets);
-    }
-
-    /// Blocks until all `n` workers registered (or the deadline passes).
-    pub(crate) fn await_registration(&mut self) -> Result<(), NetError> {
-        let deadline = Instant::now() + self.config.register_timeout;
-        loop {
-            let registered = self.slots.iter().filter(|s| s.registered).count();
-            if registered == self.n() {
-                return Ok(());
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return Err(NetError::Protocol(format!(
-                    "registration timed out with {registered} of {} workers",
-                    self.n()
-                )));
-            };
-            if let Some(event) = self.reactor.next_event(remaining.min(POLL))? {
-                let _ = self.dispatch(event);
-            }
+        let replies = (0..n)
+            .map(|w| assign_frame(&config, w, &assignments[w]))
+            .collect();
+        let members = Membership::new(
+            Tier::Workers,
+            replies,
+            0,
+            Some(config.heartbeat_timeout),
+            config.job,
+            transport,
+        );
+        MasterLoop {
+            members,
+            config,
+            assignments,
         }
     }
 
-    /// Waits up to `rejoin_grace` for every previously-registered but
-    /// disconnected worker (not yet declared dead by repair) to re-register,
-    /// so a flapping worker's step membership is decided by what it *sends*
-    /// (codeword or decline), never by whether its reconnect handshake beat
-    /// the broadcast. Returns the number of codewords swallowed while
-    /// waiting — necessarily stale, since this step has not been broadcast
-    /// yet — so the caller can fold them into the step's stale count.
-    fn await_rejoins(&mut self) -> usize {
-        let grace = self.config.rejoin_grace;
-        let mut stale = 0usize;
-        if grace.is_zero() {
-            return stale;
-        }
-        let waiting = |slots: &[Slot], assignments: &[Vec<usize>]| {
-            slots
-                .iter()
-                .zip(assignments)
-                .any(|(s, a)| s.registered && !s.alive && !a.is_empty())
-        };
-        let deadline = Instant::now() + grace;
-        while waiting(&self.slots, &self.assignments) {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            match self.reactor.next_event(remaining.min(POLL)) {
-                Ok(Some(event)) => {
-                    if let Dispatched::Codeword(..) = self.dispatch(event) {
-                        stale += 1;
-                    }
-                }
-                Ok(None) => {}
-                Err(_) => break,
+    /// Blocks until all `n` workers registered (or the configured
+    /// registration deadline passes).
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Protocol`] on registration timeout; transport failures.
+    pub fn await_registration(&mut self) -> Result<(), NetError> {
+        self.members
+            .await_registration(self.config.register_timeout, Some)
+    }
+
+    /// Notifies workers the run is over — a flushed `Shutdown` to every
+    /// connected worker normally, or (emulating a killed process, whose fds
+    /// all close) a hard shutdown of every socket when the run ended in a
+    /// scripted crash.
+    pub fn close_peers(&mut self, crashed: bool) {
+        self.members.close(crashed, Duration::from_secs(1));
+    }
+
+    /// The flat startup path: a fresh engine and seed-derived parameters,
+    /// both overwritten from the checkpoint when one exists, then every
+    /// worker registered. Parameter initialization is a pure function of
+    /// the seed, so a fresh master matches any backend given the same seed.
+    fn start<M: Model>(&mut self, model: &M) -> Result<(StepEngine, Vector), NetError> {
+        let mut engine = StepEngine::new(self.config.engine_config()).map_err(engine_to_net)?;
+        let mut params = engine.initial_params(model);
+        let (start_step, ladder) = self.try_resume(&mut params)?;
+        engine
+            .resume_from(start_step, self.assignments.clone())
+            .map_err(engine_to_net)?;
+        engine.resume_ladder(ladder);
+        self.await_registration()?;
+        Ok((engine, params))
+    }
+
+    /// Rebuilds every worker's `Assign` reply from the current assignment
+    /// table, sending the fresh frame over the live connection of each
+    /// worker in `send_to`.
+    fn reissue_assigns(&mut self, send_to: &std::collections::BTreeSet<usize>) {
+        for (w, partitions) in self.assignments.iter().enumerate() {
+            let frame = assign_frame(&self.config, w, partitions);
+            if send_to.contains(&w) {
+                self.members.unicast(w, Arc::clone(&frame));
             }
+            self.members.set_reply(w, frame);
         }
-        stale
     }
 
     /// Restores checkpointed state if a checkpoint exists; returns the step
@@ -940,6 +691,7 @@ impl MasterLoop {
             .iter()
             .map(|list| list.iter().map(|&j| j as usize).collect())
             .collect();
+        self.reissue_assigns(&Default::default());
         Ok((ck.step, ck.consecutive_degraded))
     }
 
@@ -972,39 +724,26 @@ impl MasterLoop {
         ck.save(&ck_config.path)
     }
 
-    /// Collects one step's codewords under the configured wait policy.
-    fn collect_step(&mut self, step: u64) -> Result<CollectedStep, NetError> {
+    /// Collects one step's codewords under the configured wait policy;
+    /// `stale` codewords were already swallowed before the broadcast.
+    fn collect_step(&mut self, step: u64, mut stale: usize) -> Result<Collected, NetError> {
         let step_start = Instant::now();
         let cutoff = match self.config.wait {
             WaitPolicy::FirstW(_) => None,
             WaitPolicy::Deadline(d) => Some(step_start + d),
         };
-        let n = self.n();
-        // A worker is eligible for this step only through the connection
-        // that received the Params broadcast; one that reconnects mid-step
-        // cannot produce this step's codeword, so it must not be waited on.
-        let eligible: Vec<Option<Token>> = self
-            .slots
-            .iter()
-            .map(|s| if s.alive { s.conn } else { None })
-            .collect();
+        let n = self.members.len();
+        let eligible = self.members.snapshot();
         let mut codewords: Vec<Option<Vector>> = vec![None; n];
         let mut arrivals: Vec<usize> = Vec::new();
         let mut declined: Vec<bool> = vec![false; n];
-        let mut stale = 0usize;
 
         loop {
             // Heartbeat silence arrives as HeartbeatTimeout events off the
-            // reactor's timer wheel (dispatched below); no wall-clock sweep.
-            let alive_pending = (0..n)
-                .filter(|&w| {
-                    self.slots[w].alive
-                        && eligible[w].is_some()
-                        && eligible[w] == self.slots[w].conn
-                        && !declined[w]
-                        && codewords[w].is_none()
-                })
-                .count();
+            // reactor's timer wheel (reacted to below); no wall-clock sweep.
+            let alive_pending = self
+                .members
+                .pending(&eligible, |w| declined[w] || codewords[w].is_some());
             let done = match self.config.wait {
                 WaitPolicy::FirstW(w) => arrivals.len() >= w || alive_pending == 0,
                 WaitPolicy::Deadline(_) => {
@@ -1013,26 +752,33 @@ impl MasterLoop {
                 }
             };
             if done {
-                if arrivals.is_empty() && self.alive_count() == 0 {
+                if arrivals.is_empty() && !self.members.any_alive() {
                     return Err(NetError::AllWorkersLost);
                 }
                 // A step that closes with zero arrivals but alive workers
                 // (FirstW with everyone freshly dead-marked or declining)
                 // is reported upstream as Degraded by the engine.
-                return Ok(CollectedStep {
+                let waited = step_start.elapsed().as_secs_f64();
+                return Ok(Collected {
                     arrivals,
                     codewords,
-                    waited: step_start.elapsed(),
-                    stale,
                     declined: (0..n).filter(|&w| declined[w]).collect(),
+                    stale,
+                    waited_ms: waited * 1e3,
+                    duration: waited,
+                    sharded: None,
                 });
             }
 
-            let Some(event) = self.reactor.next_event(POLL)? else {
+            let Some(event) = self.members.transport().next_event(POLL)? else {
                 continue;
             };
-            match self.dispatch(event) {
-                Dispatched::Codeword(worker, tagged_step, values) => {
+            match self.members.react(event) {
+                Some(Inbound::Codeword {
+                    slot: worker,
+                    step: tagged_step,
+                    values,
+                }) => {
                     // `mc-mutation` deliberately breaks the stale guard —
                     // the codeword from the *previous* round is accepted as
                     // this step's — so the model checker's seeded-bug path
@@ -1054,28 +800,37 @@ impl MasterLoop {
                         stale += 1;
                     }
                 }
-                Dispatched::Decline(worker, tagged_step) => {
-                    if tagged_step == step && codewords[worker].is_none() {
-                        declined[worker] = true;
-                    }
+                Some(Inbound::Msg {
+                    slot: worker,
+                    message:
+                        Message::Decline {
+                            step: tagged_step, ..
+                        },
+                }) if tagged_step == step && codewords[worker].is_none() => {
+                    declined[worker] = true;
                 }
-                Dispatched::Nothing => {}
+                // Heartbeats only prove liveness, late declines change
+                // nothing, and workers send nothing else (codewords arrive
+                // as `Inbound::Codeword`): one confused peer must not kill
+                // the run.
+                _ => {}
             }
         }
     }
 }
 
-/// Poll granularity of the master loop: how often liveness and deadlines are
-/// re-checked while waiting for codewords.
-const POLL: Duration = Duration::from_millis(20);
-
-/// What one step's collection phase produced.
-struct CollectedStep {
-    arrivals: Vec<usize>,
-    codewords: Vec<Option<Vector>>,
-    waited: Duration,
-    stale: usize,
-    declined: Vec<usize>,
+/// Worker `w`'s `Assign` frame for its current partition list.
+fn assign_frame(config: &NetConfig, w: usize, partitions: &[usize]) -> Arc<[u8]> {
+    Message::Assign {
+        worker: w as u64,
+        n: config.placement.n() as u64,
+        c: config.placement.c() as u64,
+        batch_size: config.batch_size as u64,
+        seed: config.seed,
+        partitions: partitions.iter().map(|&j| j as u64).collect(),
+    }
+    .encode_for_job(config.job)
+    .into()
 }
 
 #[cfg(test)]

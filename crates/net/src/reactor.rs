@@ -25,13 +25,18 @@
 //!   heartbeat deadlines and handshake timeouts, so liveness is a logical
 //!   clock decision instead of a race between wall-clock thread sleeps;
 //! - **a drained event queue**: readiness is translated into [`NetEvent`]s
-//!   consumed one at a time by the unchanged single-threaded master state
-//!   machine ([`crate::master::MasterLoop`](crate::master) and the tree
-//!   loops in [`crate::submaster`]).
+//!   consumed one at a time by a single-threaded collector loop (the flat
+//!   [`crate::master::MasterLoop`], or the tree root and shard loops in
+//!   [`crate::submaster`]);
+//! - **traffic counters**: every frame of our job written to or parsed
+//!   from an adopted connection is counted (`net.frames.*`,
+//!   `net.bytes.*`), so every tier that is handed a registry meters both
+//!   directions.
 //!
-//! Liveness decisions, slot assignment, and step semantics stay in the
-//! owning loop; the reactor only moves bytes and fires deadlines. All
-//! `net.reactor.*` metric series are [`isgc_obs::Class::Timing`], so golden
+//! Liveness decisions and slot assignment live in the collectors' shared
+//! membership core (`crate::membership`), step semantics in the owning
+//! loop; the reactor only moves bytes, counts them, and fires deadlines.
+//! All `net.*` transport series are [`isgc_obs::Class::Timing`], so golden
 //! logical snapshots are untouched by the transport swap.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -84,14 +89,12 @@ pub enum NetEvent {
         /// The shard the sub-master claims.
         shard: u64,
     },
-    /// An adopted connection produced a message of `bytes` wire bytes.
+    /// An adopted connection produced a message.
     Msg {
         /// The connection that produced the frame.
         token: Token,
         /// The decoded message.
         message: Message,
-        /// Wire bytes consumed by the frame (for byte counters).
-        bytes: usize,
     },
     /// An adopted connection produced a codeword, decoded in place from the
     /// reassembly buffer (the zero-copy upload path — `Message::Codeword`
@@ -103,8 +106,6 @@ pub enum NetEvent {
         step: u64,
         /// The codeword payload.
         values: Vector,
-        /// Wire bytes consumed by the frame (for byte counters).
-        bytes: usize,
     },
     /// An adopted connection passed its idle deadline on the logical timer
     /// wheel without producing a byte. The connection stays open — the
@@ -119,6 +120,20 @@ pub enum NetEvent {
         /// The departed connection.
         token: Token,
     },
+}
+
+impl NetEvent {
+    /// The connection the event came from.
+    pub fn token(&self) -> Token {
+        match self {
+            NetEvent::Hello { token, .. }
+            | NetEvent::SubHello { token, .. }
+            | NetEvent::Msg { token, .. }
+            | NetEvent::Codeword { token, .. }
+            | NetEvent::HeartbeatTimeout { token }
+            | NetEvent::Gone { token } => *token,
+        }
+    }
 }
 
 /// Connection lifecycle phase.
@@ -617,7 +632,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        match parse_frames(token, conn, &mut self.events, self.job) {
+        match parse_frames(token, conn, &mut self.events, self.job, &self.metrics) {
             Parsed::Keep => {}
             Parsed::Fatal => self.drop_conn(token),
         }
@@ -786,12 +801,14 @@ fn flush_out(conn: &mut Conn, metrics: &Option<Registry>) -> Result<(), ()> {
 
 /// Turns `conn`'s buffered bytes into events. Pending connections yield
 /// exactly one introduction (job-checked at the door); adopted ones yield
-/// the full message flow with codewords decoded in place.
+/// the full message flow with codewords decoded in place, each frame of our
+/// job counted into the inbound byte/frame counters.
 fn parse_frames(
     token: Token,
     conn: &mut Conn,
     events: &mut VecDeque<NetEvent>,
     job: u64,
+    metrics: &Option<Registry>,
 ) -> Parsed {
     loop {
         if conn.phase == Phase::Pending && conn.introduced {
@@ -825,27 +842,25 @@ fn parse_frames(
                 if frame.job != job {
                     continue; // foreign tenant frame: discard, keep reading
                 }
-                let bytes = frame.wire_len;
-                match CodewordView::parse(frame.payload) {
-                    Some(Ok(view)) => {
-                        let values = Vector::from_fn(view.len(), |i| view.value(i));
-                        events.push_back(NetEvent::Codeword {
-                            token,
-                            step: view.step,
-                            values,
-                            bytes,
-                        });
-                    }
+                let event = match CodewordView::parse(frame.payload) {
+                    Some(Ok(view)) => NetEvent::Codeword {
+                        token,
+                        step: view.step,
+                        values: Vector::from_fn(view.len(), |i| view.value(i)),
+                    },
                     Some(Err(_)) => return Parsed::Fatal,
                     None => match frame.message() {
-                        Ok(message) => events.push_back(NetEvent::Msg {
-                            token,
-                            message,
-                            bytes,
-                        }),
+                        Ok(message) => NetEvent::Msg { token, message },
                         Err(_) => return Parsed::Fatal,
                     },
+                };
+                if let Some(registry) = metrics {
+                    use isgc_obs::Class::Timing;
+                    let bytes = frame.wire_len as u64;
+                    registry.inc(crate::metrics::FRAMES_RECEIVED_TOTAL, &[], Timing);
+                    registry.inc_by(crate::metrics::BYTES_RECEIVED_TOTAL, &[], Timing, bytes);
                 }
+                events.push_back(event);
             }
         }
     }

@@ -27,10 +27,9 @@
 //! fixed merge order makes the aggregate bitwise identical to flat
 //! aggregation (see `isgc-engine::merge`).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use isgc_core::decode::{decoder_for, Decoder};
@@ -41,40 +40,25 @@ use isgc_engine::{
 };
 use isgc_linalg::Vector;
 
-use crate::master::{backend, NetConfig, Slot};
+use crate::master::{backend, NetConfig};
+use crate::membership::{Inbound, Membership, Tier, POLL};
 use crate::reactor::{NetEvent, Reactor, Token};
 use crate::retry::RetryPolicy;
 use crate::seam::Transport;
 use crate::wire::{encode_params_frame, read_message_tagged, write_message_for_job, Message};
 use crate::{NetError, WaitPolicy};
 
-/// Poll granularity while waiting on shard uploads or worker codewords.
-const POLL: Duration = Duration::from_millis(20);
-
 /// How long an upload or shutdown flush may pump before giving up on the
 /// peer (loopback drains in microseconds; this only bounds a wedged link).
 const FLUSH_LIMIT: Duration = Duration::from_secs(5);
 
-/// The connection an event came from.
-fn event_token(event: &NetEvent) -> Token {
-    match event {
-        NetEvent::Hello { token, .. }
-        | NetEvent::SubHello { token, .. }
-        | NetEvent::Msg { token, .. }
-        | NetEvent::Codeword { token, .. }
-        | NetEvent::HeartbeatTimeout { token }
-        | NetEvent::Gone { token } => *token,
-    }
-}
-
 /// The root's collector in tree mode: one slot per sub-master, each
-/// delivering a shard's `(arrivals, selection, partial sum)` per step.
-pub(crate) struct TreeRootLoop {
-    slots: Vec<Slot>,
+/// delivering a shard's `(arrivals, selection, partial sum)` per step. Slot
+/// bookkeeping is the shared membership core; this loop adds the
+/// `ShardAssign` frames and the merge of the shard reports.
+pub struct TreeRootLoop {
+    members: Membership,
     shards: Vec<(usize, usize)>,
-    /// Which slot each adopted sub-master connection feeds.
-    owner: HashMap<Token, usize>,
-    reactor: Box<dyn Transport>,
     config: NetConfig,
 }
 
@@ -88,10 +72,15 @@ struct ShardReport {
 
 impl TreeRootLoop {
     /// Validates the tree geometry and builds the (not yet registered)
-    /// root loop around its reactor.
-    pub(crate) fn new(
+    /// root loop over `transport`.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::InvalidConfig`] for bad tree geometry (non-power-of-two
+    /// shard count, non-FR placement, shard boundary cutting an FR group).
+    pub fn new(
         config: NetConfig,
-        reactor: Box<dyn Transport>,
+        transport: Box<dyn Transport>,
         submasters: usize,
     ) -> Result<TreeRootLoop, NetError> {
         let n = config.placement.n();
@@ -121,148 +110,48 @@ impl TreeRootLoop {
                 )));
             }
         }
+        let replies = shards
+            .iter()
+            .enumerate()
+            .map(|(shard, &(lo, hi))| {
+                Message::ShardAssign {
+                    shard: shard as u64,
+                    lo: lo as u64,
+                    hi: hi as u64,
+                    n: n as u64,
+                    c: c as u64,
+                    batch_size: config.batch_size as u64,
+                    seed: config.seed,
+                }
+                .encode_for_job(config.job)
+                .into()
+            })
+            .collect();
+        // No idle deadline: a sub-master is only expected to speak once per
+        // step, however long its shard takes.
+        let members = Membership::new(Tier::Submasters, replies, 0, None, config.job, transport);
         Ok(TreeRootLoop {
-            slots: (0..submasters).map(|_| Slot::empty()).collect(),
+            members,
             shards,
-            owner: HashMap::new(),
-            reactor,
             config,
         })
     }
 
     /// Blocks until every shard's sub-master registered (or the
     /// registration deadline passes).
-    pub(crate) fn await_registration(&mut self) -> Result<(), NetError> {
-        let deadline = Instant::now() + self.config.register_timeout;
-        loop {
-            if self.slots.iter().all(|s| s.registered) {
-                return Ok(());
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                let registered = self.slots.iter().filter(|s| s.registered).count();
-                return Err(NetError::Protocol(format!(
-                    "tree registration timed out with {registered} of {} sub-masters",
-                    self.slots.len()
-                )));
-            };
-            if let Some(event) = self.reactor.next_event(remaining.min(POLL))? {
-                self.dispatch_control(event);
-            }
-        }
-    }
-
-    /// The slot an adopted sub-master connection currently owns, or `None`
-    /// for events from a replaced connection.
-    fn slot_of(&self, token: Token) -> Option<usize> {
-        let id = *self.owner.get(&token)?;
-        (self.slots[id].conn == Some(token)).then_some(id)
-    }
-
-    /// Handles registration/liveness events (everything but uploads).
-    fn dispatch_control(&mut self, event: NetEvent) {
-        match event {
-            NetEvent::SubHello { token, shard } => self.register_shard(token, shard),
-            // A worker dialing the root directly: wrong tier, drop it.
-            NetEvent::Hello { token, .. } => self.reactor.reject(token),
-            NetEvent::Gone { token } => {
-                if let Some(shard) = self.slot_of(token) {
-                    self.slots[shard].alive = false;
-                    self.slots[shard].conn = None;
-                }
-                self.owner.remove(&token);
-            }
-            NetEvent::Msg { token, .. } | NetEvent::Codeword { token, .. } => {
-                if let Some(shard) = self.slot_of(token) {
-                    self.slots[shard].alive = true;
-                }
-            }
-            // Sub-master links carry no idle deadline (shards answer at
-            // step cadence, not heartbeat cadence), so this never fires.
-            NetEvent::HeartbeatTimeout { .. } => {}
-        }
-    }
-
-    /// Registers (or re-registers, after a crash) a shard's sub-master.
-    fn register_shard(&mut self, token: Token, shard: u64) {
-        let Some(&(lo, hi)) = self.shards.get(shard as usize) else {
-            // Claims a shard outside the tree: reject.
-            self.reactor.reject(token);
-            return;
-        };
-        let assign: Arc<[u8]> = Message::ShardAssign {
-            shard,
-            lo: lo as u64,
-            hi: hi as u64,
-            n: self.config.placement.n() as u64,
-            c: self.config.placement.c() as u64,
-            batch_size: self.config.batch_size as u64,
-            seed: self.config.seed,
-        }
-        .encode_for_job(self.config.job)
-        .into();
-        // No idle deadline: a sub-master is only expected to speak once per
-        // step, however long its shard takes.
-        if !self.reactor.adopt(token, assign, None) {
-            return; // connection died under the ShardAssign write
-        }
-        if let Some(old) = self.slots[shard as usize].conn.take() {
-            self.owner.remove(&old);
-            self.reactor.reject(old);
-        }
-        let slot = &mut self.slots[shard as usize];
-        slot.conn = Some(token);
-        slot.registered = true;
-        slot.alive = true;
-        self.owner.insert(token, shard as usize);
-    }
-
-    /// Sends one pre-encoded frame to every alive sub-master (serialize
-    /// once, `Arc`-shared bytes written `S` times). A shard whose link
-    /// fails surfaces as a queued `Gone` event and is demoted when it is
-    /// dispatched.
-    fn broadcast_frame(&mut self, frame: &Arc<[u8]>) {
-        let targets: Vec<Token> = self
-            .slots
-            .iter()
-            .filter(|s| s.alive)
-            .filter_map(|s| s.conn)
-            .collect();
-        self.reactor.broadcast(frame, &targets);
-    }
-
-    /// Waits up to [`NetConfig::rejoin_grace`] at step start for every
-    /// previously-registered but currently disconnected sub-master to
-    /// re-register, so a restarted shard's step membership depends only on
-    /// the step its crash was scripted at, never on how fast its restart
-    /// races the next broadcast.
-    fn await_rejoins(&mut self) {
-        let grace = self.config.rejoin_grace;
-        if grace.is_zero() {
-            return;
-        }
-        let deadline = Instant::now() + grace;
-        while self.slots.iter().any(|s| s.registered && !s.alive) {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            match self.reactor.next_event(remaining.min(POLL)) {
-                Ok(Some(event)) => self.dispatch_control(event),
-                Ok(None) => {}
-                Err(_) => break,
-            }
-        }
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Protocol`] on registration timeout; transport failures.
+    pub fn await_registration(&mut self) -> Result<(), NetError> {
+        self.members
+            .await_registration(self.config.register_timeout, Some)
     }
 
     /// Notifies sub-masters the run is over (they relay to their workers),
     /// or emulates a killed root by hard-closing every socket.
-    pub(crate) fn close_peers(&mut self, crashed: bool) {
-        if !crashed {
-            let frame: Arc<[u8]> = Message::Shutdown.encode_for_job(self.config.job).into();
-            self.broadcast_frame(&frame);
-            self.reactor.flush_all(Duration::from_secs(1));
-        } else {
-            self.reactor.hard_close_all();
-        }
+    pub fn close_peers(&mut self, crashed: bool) {
+        self.members.close(crashed, Duration::from_secs(1));
     }
 }
 
@@ -277,8 +166,8 @@ impl Collector for TreeRootLoop {
     /// this coarse view only affects wait targets, never correctness.)
     fn alive(&self) -> Vec<bool> {
         let mut alive = vec![false; self.n()];
-        for (slot, &(lo, hi)) in self.slots.iter().zip(&self.shards) {
-            if slot.alive {
+        for (shard, &(lo, hi)) in self.shards.iter().enumerate() {
+            if self.members.is_alive(shard) {
                 alive[lo..hi].fill(true);
             }
         }
@@ -286,11 +175,16 @@ impl Collector for TreeRootLoop {
     }
 
     fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
-        self.await_rejoins();
+        // A restarted shard's step membership depends only on the step its
+        // crash was scripted at, never on how fast its restart races the
+        // next broadcast.
+        let mut stale = self
+            .members
+            .await_rejoins(self.config.rejoin_grace, |_| true);
         let step_start = Instant::now();
         let frame: Arc<[u8]> =
             encode_params_frame(self.config.job, ctx.step, ctx.params.as_slice()).into();
-        self.broadcast_frame(&frame);
+        self.members.broadcast(&frame);
         // A deadline wait policy caps how long present shards are held up by
         // an absent one. Under FirstW the root waits for every shard that
         // received the broadcast — a crashed shard's EOF unblocks the step
@@ -299,79 +193,51 @@ impl Collector for TreeRootLoop {
             WaitPolicy::FirstW(_) => None,
             WaitPolicy::Deadline(d) => Some(step_start + d),
         };
-        let submasters = self.slots.len();
-        // A shard is eligible for this step only through the connection that
-        // received the Params broadcast; one that re-registers mid-step (a
-        // restarted sub-master, with a new connection) never saw this step
-        // and must not be waited on — its first step is the next one.
-        let eligible: Vec<Option<Token>> = self
-            .slots
-            .iter()
-            .map(|s| if s.alive { s.conn } else { None })
-            .collect();
+        let submasters = self.members.len();
+        // A restarted sub-master re-registers on a new connection that never
+        // saw this step's broadcast: its first step is the next one.
+        let eligible = self.members.snapshot();
         let mut reports: Vec<Option<ShardReport>> = (0..submasters).map(|_| None).collect();
-        let mut stale = 0usize;
         loop {
-            let pending = (0..submasters)
-                .filter(|&s| {
-                    self.slots[s].alive
-                        && eligible[s].is_some()
-                        && eligible[s] == self.slots[s].conn
-                        && reports[s].is_none()
-                })
-                .count();
+            let pending = self.members.pending(&eligible, |s| reports[s].is_some());
             let expired = cutoff.is_some_and(|c| Instant::now() >= c);
             let uploaded = reports.iter().filter(|r| r.is_some()).count();
             if pending == 0 || (expired && uploaded > 0) {
-                if uploaded == 0 && self.slots.iter().all(|s| !s.alive) {
+                if uploaded == 0 && !self.members.any_alive() {
                     return Err(backend(NetError::AllWorkersLost));
                 }
-                if pending == 0 || expired {
-                    break;
-                }
+                break;
             }
-            let event = match self.reactor.next_event(POLL) {
+            let event = match self.members.transport().next_event(POLL) {
                 Ok(Some(event)) => event,
                 Ok(None) => continue,
                 Err(e) => return Err(backend(e)),
             };
-            match event {
-                NetEvent::Msg {
-                    token,
-                    message,
-                    bytes: _,
-                } => {
-                    let Some(shard) = self.slot_of(token) else {
-                        continue; // from a replaced connection
-                    };
-                    self.slots[shard].alive = true;
-                    if let Message::ShardUpload {
-                        shard: claimed,
+            // Like codewords, the slot is authoritative over the claimed
+            // shard id, and stale steps are counted, never mixed in.
+            if let Some(Inbound::Msg {
+                slot: shard,
+                message:
+                    Message::ShardUpload {
                         step,
                         arrivals,
                         selected,
                         recovered,
                         partial,
-                    } = message
-                    {
-                        // Like codewords, the slot is authoritative over
-                        // the claimed id, and stale steps are counted,
-                        // never mixed in.
-                        let _ = claimed;
-                        if step == ctx.step && reports[shard].is_none() {
-                            reports[shard] = Some(ShardReport {
-                                arrivals: arrivals.iter().map(|&w| w as usize).collect(),
-                                selected: selected.iter().map(|&w| w as usize).collect(),
-                                recovered: recovered as usize,
-                                partial: (!partial.is_empty())
-                                    .then(|| Vector::from_slice(&partial)),
-                            });
-                        } else {
-                            stale += 1;
-                        }
-                    }
+                        ..
+                    },
+            }) = self.members.react(event)
+            {
+                if step == ctx.step && reports[shard].is_none() {
+                    reports[shard] = Some(ShardReport {
+                        arrivals: arrivals.iter().map(|&w| w as usize).collect(),
+                        selected: selected.iter().map(|&w| w as usize).collect(),
+                        recovered: recovered as usize,
+                        partial: (!partial.is_empty()).then(|| Vector::from_slice(&partial)),
+                    });
+                } else {
+                    stale += 1;
                 }
-                other => self.dispatch_control(other),
             }
         }
 
@@ -518,31 +384,14 @@ impl Submaster {
             .ok_or_else(|| NetError::InvalidConfig("root address resolved to nothing".into()))?;
         let mut root_stream = dial_root(root_addr, shard, options)?;
         let geometry = read_shard_assign(&mut root_stream, shard, options.job)?;
-        let placement = Placement::fractional(geometry.n, geometry.c)
-            .map_err(|e| NetError::InvalidConfig(e.to_string()))?;
-        let decoder =
-            decoder_for(&placement).map_err(|e| NetError::InvalidConfig(e.to_string()))?;
 
         // One reactor carries both tiers: the worker-facing listener and
         // the upstream root link share the poll set, so the whole
         // sub-master is a single thread.
         let mut reactor = Reactor::new(Some(self.listener), options.job, None)?;
         let root_token = reactor.register_adopted(root_stream, None)?;
-
-        let mut shard_loop = ShardLoop {
-            geometry,
-            placement,
-            decoder,
-            slots: (0..geometry.hi - geometry.lo)
-                .map(|_| Slot::empty())
-                .collect(),
-            owner: HashMap::new(),
-            reactor: Box::new(reactor),
-            root: root_token,
-            root_backlog: VecDeque::new(),
-            worker_backlog: VecDeque::new(),
-            options: options.clone(),
-        };
+        let mut shard_loop = ShardLoop::new(geometry, options.clone(), Box::new(reactor))?;
+        shard_loop.root = root_token;
 
         let mut summary = SubmasterSummary {
             shard,
@@ -555,21 +404,28 @@ impl Submaster {
         // Teardown: notify the workers, or emulate a killed process (which
         // also hard-closes the root link). The listener dies with the
         // reactor when the loop drops.
-        shard_loop.close_workers(summary.crashed);
+        shard_loop.close_peers(summary.crashed);
         outcome.map(|()| summary)
     }
 }
 
-/// The geometry the root assigned this sub-master.
+/// The geometry the root assigns a sub-master (its `ShardAssign`).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardGeometry {
-    pub(crate) shard: usize,
-    pub(crate) lo: usize,
-    pub(crate) hi: usize,
-    pub(crate) n: usize,
-    pub(crate) c: usize,
-    pub(crate) batch_size: usize,
-    pub(crate) seed: u64,
+pub struct ShardGeometry {
+    /// Shard index in the tree.
+    pub shard: usize,
+    /// First global worker id owned by the shard (inclusive).
+    pub lo: usize,
+    /// One past the last global worker id owned by the shard.
+    pub hi: usize,
+    /// Cluster size.
+    pub n: usize,
+    /// Copies per worker (FR group size).
+    pub c: usize,
+    /// Mini-batch size per partition per step.
+    pub batch_size: usize,
+    /// The run's shared seed.
+    pub seed: u64,
 }
 
 /// Dials the root and sends `SubHello` under the retry policy.
@@ -578,29 +434,15 @@ fn dial_root(
     shard: usize,
     options: &SubmasterOptions,
 ) -> Result<TcpStream, NetError> {
-    let mut last_err: Option<NetError> = None;
-    for attempt in 0..options.retry.max_attempts.max(1) {
-        thread::sleep(options.retry.delay(attempt, shard as u64));
-        let mut stream = match TcpStream::connect(addr) {
-            Ok(s) => s,
-            Err(e) => {
-                last_err = Some(NetError::Io(e));
-                continue;
-            }
-        };
+    options.retry.run(shard as u64, || {
+        let mut stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        match write_message_for_job(
-            &mut stream,
-            options.job,
-            &Message::SubHello {
-                shard: shard as u64,
-            },
-        ) {
-            Ok(_) => return Ok(stream),
-            Err(e) => last_err = Some(NetError::Wire(e)),
-        }
-    }
-    Err(last_err.unwrap_or_else(|| NetError::Protocol("no connect attempts made".into())))
+        let hello = Message::SubHello {
+            shard: shard as u64,
+        };
+        write_message_for_job(&mut stream, options.job, &hello)?;
+        Ok(stream)
+    })
 }
 
 /// Reads the `ShardAssign` reply of a `SubHello`.
@@ -648,15 +490,13 @@ fn read_shard_assign(
 }
 
 /// The sub-master's worker-facing state machine: slot `i` holds global
-/// worker `lo + i`.
-pub(crate) struct ShardLoop {
+/// worker `lo + i`. Slot bookkeeping is the shared membership core; this
+/// loop adds the root link, the two backlogs, the shard-local decode and
+/// the upload.
+pub struct ShardLoop {
     geometry: ShardGeometry,
-    placement: Placement,
     decoder: Box<dyn Decoder>,
-    slots: Vec<Slot>,
-    /// Which slot each adopted worker connection feeds.
-    owner: HashMap<Token, usize>,
-    reactor: Box<dyn Transport>,
+    members: Membership,
     /// The upstream root link's token (replaced on reconnect).
     root: Token,
     /// Root events that landed while a shard step was collecting; replayed
@@ -671,12 +511,17 @@ pub(crate) struct ShardLoop {
 }
 
 impl ShardLoop {
-    /// Builds a shard loop with a *virtual* root for the model checker:
-    /// the given transport carries only the shard's workers, and the root
-    /// link is the never-issued sentinel token `u64::MAX` — the caller
-    /// drives [`ShardLoop::serve_step`] directly instead of
-    /// [`ShardLoop::serve`], so the upload is returned, not written.
-    pub(crate) fn modeled(
+    /// Builds the shard loop for `geometry`'s slice of the cluster over
+    /// `transport`. It starts without a root link (the never-issued
+    /// sentinel token `u64::MAX`): a caller that drives
+    /// [`ShardLoop::serve_step`] directly — the model checker — takes the
+    /// upload it returns instead of having it written upstream.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::InvalidConfig`] when the geometry does not form a valid
+    /// FR placement.
+    pub fn new(
         geometry: ShardGeometry,
         options: SubmasterOptions,
         transport: Box<dyn Transport>,
@@ -691,15 +536,38 @@ impl ShardLoop {
             .map_err(|e| NetError::InvalidConfig(e.to_string()))?;
         let decoder =
             decoder_for(&placement).map_err(|e| NetError::InvalidConfig(e.to_string()))?;
+        // Global ids are the contract: a worker claiming id `g` must
+        // satisfy `lo <= g < hi`.
+        let replies = (geometry.lo..geometry.hi)
+            .map(|global| {
+                Message::Assign {
+                    worker: global as u64,
+                    n: geometry.n as u64,
+                    c: geometry.c as u64,
+                    batch_size: geometry.batch_size as u64,
+                    seed: geometry.seed,
+                    partitions: placement
+                        .partitions_of(global)
+                        .iter()
+                        .map(|&j| j as u64)
+                        .collect(),
+                }
+                .encode_for_job(options.job)
+                .into()
+            })
+            .collect();
+        let members = Membership::new(
+            Tier::Workers,
+            replies,
+            geometry.lo,
+            Some(options.heartbeat_timeout),
+            options.job,
+            transport,
+        );
         Ok(ShardLoop {
             geometry,
-            placement,
             decoder,
-            slots: (0..geometry.hi - geometry.lo)
-                .map(|_| Slot::empty())
-                .collect(),
-            owner: HashMap::new(),
-            reactor: transport,
+            members,
             root: u64::MAX,
             root_backlog: VecDeque::new(),
             worker_backlog: VecDeque::new(),
@@ -713,16 +581,16 @@ impl ShardLoop {
         root_addr: std::net::SocketAddr,
         summary: &mut SubmasterSummary,
     ) -> Result<(), NetError> {
-        self.await_worker_registration()?;
+        self.await_registration()?;
         loop {
             let event = match self.root_backlog.pop_front() {
                 Some(event) => event,
-                None => match self.reactor.next_event(POLL)? {
+                None => match self.members.transport().next_event(POLL)? {
                     Some(event) => event,
                     None => continue,
                 },
             };
-            if event_token(&event) != self.root {
+            if event.token() != self.root {
                 // A worker (or stale-root) event between steps: buffer it
                 // for the next step's collection loop.
                 self.worker_backlog.push_back(event);
@@ -746,8 +614,9 @@ impl ShardLoop {
                         }
                         let upload = self.serve_step(step, &values);
                         let frame: Arc<[u8]> = upload.encode_for_job(self.options.job).into();
-                        self.reactor.send(self.root, frame);
-                        if self.reactor.flush_conn(self.root, FLUSH_LIMIT) {
+                        let transport = self.members.transport();
+                        transport.send(self.root, frame);
+                        if transport.flush_conn(self.root, FLUSH_LIMIT) {
                             summary.steps_served += 1;
                         }
                     }
@@ -765,194 +634,63 @@ impl ShardLoop {
     fn reconnect_root(&mut self, addr: std::net::SocketAddr) -> Result<(), NetError> {
         let mut stream = dial_root(addr, self.geometry.shard, &self.options)?;
         let _ = read_shard_assign(&mut stream, self.geometry.shard, self.options.job)?;
-        self.root = self.reactor.register_adopted(stream, None)?;
+        self.root = self.members.transport().register_adopted(stream, None)?;
         Ok(())
     }
 
-    /// Blocks until every shard worker registered.
-    pub(crate) fn await_worker_registration(&mut self) -> Result<(), NetError> {
-        let deadline = Instant::now() + self.options.register_timeout;
-        loop {
-            if self.slots.iter().all(|s| s.registered) {
-                return Ok(());
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                let registered = self.slots.iter().filter(|s| s.registered).count();
-                return Err(NetError::Protocol(format!(
-                    "shard {} registration timed out with {registered} of {} workers",
-                    self.geometry.shard,
-                    self.slots.len()
-                )));
-            };
-            if let Some(event) = self.reactor.next_event(remaining.min(POLL))? {
-                if event_token(&event) == self.root {
-                    self.root_backlog.push_back(event);
+    /// Blocks until every shard worker registered; root events that land
+    /// meanwhile wait in the root backlog.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Protocol`] on registration timeout; transport failures.
+    pub fn await_registration(&mut self) -> Result<(), NetError> {
+        let (root, backlog) = (self.root, &mut self.root_backlog);
+        self.members
+            .await_registration(self.options.register_timeout, |event| {
+                if event.token() == root {
+                    backlog.push_back(event);
+                    None
                 } else {
-                    let _ = self.dispatch(event);
+                    Some(event)
                 }
-            }
-        }
-    }
-
-    /// The slot an adopted worker connection currently owns.
-    fn slot_of(&self, token: Token) -> Option<usize> {
-        let id = *self.owner.get(&token)?;
-        (self.slots[id].conn == Some(token)).then_some(id)
-    }
-
-    /// Handles one worker-tier event; returns `Some((slot, step, values))`
-    /// for a codeword (already decoded in place by the reactor).
-    fn dispatch(&mut self, event: NetEvent) -> Option<(usize, u64, Vector)> {
-        match event {
-            NetEvent::Hello { token, preferred } => {
-                self.register_worker(token, preferred);
-                None
-            }
-            // A sub-master dialing a sub-master: wrong tier, drop it.
-            NetEvent::SubHello { token, .. } => {
-                self.reactor.reject(token);
-                None
-            }
-            NetEvent::Gone { token } => {
-                if let Some(idx) = self.slot_of(token) {
-                    self.slots[idx].alive = false;
-                    self.slots[idx].conn = None;
-                }
-                self.owner.remove(&token);
-                None
-            }
-            NetEvent::HeartbeatTimeout { token } => {
-                // Heartbeat silence off the reactor's timer wheel
-                // (collection-time liveness); a late message revives.
-                if let Some(idx) = self.slot_of(token) {
-                    self.slots[idx].alive = false;
-                }
-                None
-            }
-            NetEvent::Codeword {
-                token,
-                step,
-                values,
-                ..
-            } => {
-                let idx = self.slot_of(token)?;
-                self.slots[idx].alive = true;
-                Some((idx, step, values))
-            }
-            NetEvent::Msg { token, .. } => {
-                if let Some(idx) = self.slot_of(token) {
-                    self.slots[idx].alive = true;
-                }
-                None
-            }
-        }
-    }
-
-    /// Registers a shard worker. Global ids are the contract: a worker
-    /// claiming id `g` must satisfy `lo <= g < hi`; an id-less worker gets
-    /// the first free slot's global id.
-    fn register_worker(&mut self, token: Token, preferred: Option<u64>) {
-        let (lo, hi) = (self.geometry.lo, self.geometry.hi);
-        let slot_idx = match preferred {
-            Some(g) if (g as usize) >= lo && (g as usize) < hi => g as usize - lo,
-            Some(_) => {
-                // Outside this shard: reject.
-                self.reactor.reject(token);
-                return;
-            }
-            None => match self.slots.iter().position(|s| !s.registered) {
-                Some(free) => free,
-                None => match self.slots.iter().position(|s| !s.alive) {
-                    Some(dead) => dead,
-                    None => {
-                        self.reactor.reject(token);
-                        return;
-                    }
-                },
-            },
-        };
-        let global = lo + slot_idx;
-        let assign: Arc<[u8]> = Message::Assign {
-            worker: global as u64,
-            n: self.geometry.n as u64,
-            c: self.geometry.c as u64,
-            batch_size: self.geometry.batch_size as u64,
-            seed: self.geometry.seed,
-            partitions: self
-                .placement
-                .partitions_of(global)
-                .iter()
-                .map(|&j| j as u64)
-                .collect(),
-        }
-        .encode_for_job(self.options.job)
-        .into();
-        if !self
-            .reactor
-            .adopt(token, assign, Some(self.options.heartbeat_timeout))
-        {
-            return;
-        }
-        if let Some(old) = self.slots[slot_idx].conn.take() {
-            self.owner.remove(&old);
-            self.reactor.reject(old);
-        }
-        let slot = &mut self.slots[slot_idx];
-        slot.conn = Some(token);
-        slot.registered = true;
-        slot.alive = true;
-        self.owner.insert(token, slot_idx);
+            })
     }
 
     /// One step: relay `Params`, collect the shard's codewords, decode the
-    /// shard's slice of the conflict graph, and build the upload.
-    pub(crate) fn serve_step(&mut self, step: u64, values: &[f64]) -> Message {
+    /// shard's slice of the conflict graph, and build the
+    /// [`Message::ShardUpload`] for the root.
+    pub fn serve_step(&mut self, step: u64, values: &[f64]) -> Message {
         let frame: Arc<[u8]> = encode_params_frame(self.options.job, step, values).into();
-        let targets: Vec<Token> = self
-            .slots
-            .iter()
-            .filter(|s| s.alive)
-            .filter_map(|s| s.conn)
-            .collect();
-        self.reactor.broadcast(&frame, &targets);
+        self.members.broadcast(&frame);
 
         // Collect until every alive worker that saw the broadcast answered.
-        let eligible: Vec<Option<Token>> = self
-            .slots
-            .iter()
-            .map(|s| if s.alive { s.conn } else { None })
-            .collect();
-        let shard_len = self.slots.len();
+        let eligible = self.members.snapshot();
+        let shard_len = self.members.len();
         let mut codewords: Vec<Option<Vector>> = vec![None; shard_len];
-        loop {
-            let pending = (0..shard_len)
-                .filter(|&i| {
-                    self.slots[i].alive
-                        && eligible[i].is_some()
-                        && eligible[i] == self.slots[i].conn
-                        && codewords[i].is_none()
-                })
-                .count();
-            if pending == 0 {
-                break;
-            }
+        while self.members.pending(&eligible, |i| codewords[i].is_some()) > 0 {
             let event = match self.worker_backlog.pop_front() {
                 Some(event) => event,
-                None => match self.reactor.next_event(POLL) {
+                None => match self.members.transport().next_event(POLL) {
                     Ok(Some(event)) => event,
                     Ok(None) => continue,
                     Err(_) => break,
                 },
             };
-            if event_token(&event) == self.root {
+            if event.token() == self.root {
                 // The next Params (or Shutdown) racing this step's tail:
                 // the serve loop handles it once this step uploads.
                 self.root_backlog.push_back(event);
                 continue;
             }
-            if let Some((slot_idx, tagged_step, values)) = self.dispatch(event) {
-                if tagged_step == step && codewords[slot_idx].is_none() {
-                    codewords[slot_idx] = Some(values);
+            if let Some(Inbound::Codeword {
+                slot,
+                step: tagged_step,
+                values,
+            }) = self.members.react(event)
+            {
+                if tagged_step == step && codewords[slot].is_none() {
+                    codewords[slot] = Some(values);
                 }
             }
         }
@@ -987,14 +725,7 @@ impl ShardLoop {
 
     /// Relays shutdown to the shard's workers, or emulates a crash (which
     /// hard-closes every socket, the root link included).
-    pub(crate) fn close_workers(&mut self, crashed: bool) {
-        if !crashed {
-            let frame: Arc<[u8]> = Message::Shutdown.encode_for_job(self.options.job).into();
-            let targets: Vec<Token> = self.slots.iter().filter_map(|s| s.conn).collect();
-            self.reactor.broadcast(&frame, &targets);
-            self.reactor.flush_all(FLUSH_LIMIT);
-        } else {
-            self.reactor.hard_close_all();
-        }
+    pub fn close_peers(&mut self, crashed: bool) {
+        self.members.close(crashed, FLUSH_LIMIT);
     }
 }

@@ -295,42 +295,23 @@ pub fn connect(
     options: &WorkerOptions,
 ) -> Result<(TcpStream, Assignment), NetError> {
     let salt = preferred.map_or(u64::MAX, |p| p);
-    let mut last_err: Option<NetError> = None;
-    for attempt in 0..options.retry.max_attempts.max(1) {
-        thread::sleep(options.retry.delay(attempt, salt));
-        let mut stream = match TcpStream::connect(addr) {
-            Ok(s) => s,
-            Err(e) => {
-                last_err = Some(NetError::Io(e));
-                continue;
-            }
-        };
+    options.retry.run(salt, || {
+        let mut stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        if let Err(e) =
-            write_message_for_job(&mut stream, options.job, &Message::Hello { preferred })
-        {
-            last_err = Some(NetError::Wire(e));
-            continue;
-        }
-        match read_message_tagged(&mut stream) {
-            Ok((frame_job, _, _)) if frame_job != options.job => {
-                last_err = Some(NetError::Protocol(format!(
-                    "master answered for job {frame_job}, expected {}",
-                    options.job
-                )));
-            }
-            Ok((_, message, _)) => match Assignment::from_message(&message) {
-                Some(assignment) => return Ok((stream, assignment)),
-                None => {
-                    last_err = Some(NetError::Protocol(format!(
-                        "expected Assign after Hello, got {message:?}"
-                    )));
-                }
+        write_message_for_job(&mut stream, options.job, &Message::Hello { preferred })?;
+        match read_message_tagged(&mut stream)? {
+            (frame_job, _, _) if frame_job != options.job => Err(NetError::Protocol(format!(
+                "master answered for job {frame_job}, expected {}",
+                options.job
+            ))),
+            (_, message, _) => match Assignment::from_message(&message) {
+                Some(assignment) => Ok((stream, assignment)),
+                None => Err(NetError::Protocol(format!(
+                    "expected Assign after Hello, got {message:?}"
+                ))),
             },
-            Err(e) => last_err = Some(NetError::Wire(e)),
         }
-    }
-    Err(last_err.unwrap_or_else(|| NetError::Protocol("no connect attempts made".into())))
+    })
 }
 
 /// Serves one connection until shutdown or loss.
@@ -425,6 +406,15 @@ fn serve_messages<M: Model>(
             write_message_for_job(&mut *guard, options.job, &reply)
         };
         if sent.is_err() {
+            // A master that finished while we straggled says `Shutdown`
+            // before it closes: take what the reader got before the
+            // connection died, so a goodbye is not mistaken for a loss.
+            while let Ok(message) = inbound_rx.recv_timeout(Duration::from_secs(1)) {
+                core.on_message(message);
+            }
+            if core.is_shut_down() {
+                return SessionEnd::Shutdown;
+            }
             return SessionEnd::Lost;
         }
         summary.steps_served += 1;

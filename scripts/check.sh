@@ -16,6 +16,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== kernel properties in a release build (optimized float codegen)"
+cargo test --release -q -p isgc-linalg --test kernel_props
+
 echo "== cross-backend engine parity (net loopback vs simulator)"
 cargo test -q --test engine_parity
 

@@ -3,7 +3,7 @@
 //! exact decoder as a recovery oracle, plus a mid-run worker kill.
 
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -284,4 +284,58 @@ fn deadline_policy_closes_steps_without_stragglers() {
             assert!(w < N && seen.insert(w), "bad arrivals {:?}", step.arrivals);
         }
     }
+}
+
+#[test]
+fn heartbeat_silent_worker_still_gets_the_shutdown() {
+    // FR(2, 1) waiting for both workers. The silent worker's heartbeats are
+    // rarer than the master's timeout, and its compute blocks on a gate that
+    // opens only after the master returned: it is presumed dead mid-step,
+    // the step closes on the other worker alone, and the run ends while the
+    // silent worker is still connected.
+    let placement = Placement::fractional(2, 1).expect("valid FR placement");
+    let mut config = cluster_config(placement, WaitPolicy::FirstW(2), 1);
+    config.heartbeat_timeout = Duration::from_millis(300);
+
+    let master = Master::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = master.local_addr().expect("local addr");
+    let model = LinearRegression::new(FEATURES);
+    let dataset = shared_dataset();
+    let master_handle =
+        thread::spawn(move || master.run(&model, &dataset, &config).expect("master run"));
+
+    let spawn = |options: WorkerOptions| {
+        thread::spawn(move || {
+            run_worker(addr, &options, |_assignment| {
+                (LinearRegression::new(FEATURES), shared_dataset())
+            })
+            .expect("worker run")
+        })
+    };
+    let chatty = spawn(WorkerOptions {
+        heartbeat_interval: Duration::from_millis(20),
+        ..WorkerOptions::default()
+    });
+    let (release, gate) = mpsc::channel::<()>();
+    let gate = Mutex::new(gate);
+    let silent = spawn(WorkerOptions {
+        delay: Arc::new(move |_, _| {
+            let _ = gate.lock().expect("gate lock").recv();
+            Duration::ZERO
+        }),
+        heartbeat_interval: Duration::from_secs(60),
+        ..WorkerOptions::default()
+    });
+
+    let report = master_handle.join().expect("master thread");
+    drop(release);
+    assert_eq!(report.step_count(), 1);
+    assert_eq!(report.steps[0].arrivals.len(), 1, "{:?}", report.steps[0]);
+    let chatty = chatty.join().expect("chatty worker thread");
+    assert_eq!(chatty.cause, isgc_net::ShutdownCause::MasterShutdown);
+    // Connected but presumed dead when the run ended: the master still owes
+    // it a Shutdown, not a bare EOF that spends its reconnect budget.
+    let silent = silent.join().expect("silent worker thread");
+    assert!(!report.steps[0].arrivals.contains(&silent.worker));
+    assert_eq!(silent.cause, isgc_net::ShutdownCause::MasterShutdown);
 }

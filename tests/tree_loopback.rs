@@ -16,6 +16,7 @@ use isgc_net::{
     run_worker, Master, NetConfig, NetTrainReport, Submaster, SubmasterOptions, WaitPolicy,
     WorkerOptions,
 };
+use isgc_obs::Registry;
 
 const N: usize = 16;
 const C: usize = 2;
@@ -70,7 +71,7 @@ fn flat_run() -> NetTrainReport {
     report
 }
 
-fn tree_run() -> NetTrainReport {
+fn tree_run() -> (NetTrainReport, Registry) {
     let master = Master::bind("127.0.0.1:0").expect("bind root");
     let root_addr = master.local_addr().expect("root addr");
 
@@ -101,11 +102,14 @@ fn tree_run() -> NetTrainReport {
         }
     }
 
+    let registry = Registry::new();
+    let mut tree_config = config();
+    tree_config.metrics = Some(registry.clone());
     let mut session = master
         .into_tree_session(
             LinearRegression::new(FEATURES),
             shared_dataset(),
-            &config(),
+            &tree_config,
             SUBMASTERS,
         )
         .expect("tree session");
@@ -121,13 +125,19 @@ fn tree_run() -> NetTrainReport {
     for w in workers {
         w.join().expect("worker thread");
     }
-    report
+    (report, registry)
 }
 
 #[test]
 fn two_level_tree_matches_flat_bitwise_over_tcp() {
     let flat = flat_run();
-    let tree = tree_run();
+    let (tree, root_registry) = tree_run();
+
+    // The root's transport meters the shard uploads it receives.
+    let received = root_registry
+        .counter(isgc_net::metrics::FRAMES_RECEIVED_TOTAL, &[])
+        .unwrap_or(0);
+    assert!(received > 0, "tree root metered no inbound frames");
 
     assert_eq!(flat.step_count(), STEPS);
     assert_eq!(tree.step_count(), STEPS);
