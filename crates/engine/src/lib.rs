@@ -14,7 +14,7 @@
 //!                 │  repair · bounds · SGD       │
 //!                 └──────┬───────────────┬───────┘
 //!          Collector ────┘               └──── Observer
-//!   (broadcast params,                  (per-step StepReport
+//!   (send params,                       (per-step StepReport
 //!    collect W', report                  callbacks: bench plots,
 //!    liveness, apply repairs)            chaos harness, crash tests)
 //!     │           │           │
@@ -301,7 +301,8 @@ impl From<isgc_core::Error> for EngineError {
 pub struct StepContext<'a> {
     /// The step about to run.
     pub step: u64,
-    /// Current model parameters (what the collector should broadcast).
+    /// The step's parameters: the ones [`Collector::send`] already
+    /// delivered. In-process collectors compute codewords from them here.
     pub params: &'a Vector,
     /// Loss after the previous step, if one ran (lets adaptive collectors
     /// tune their wait policy).
@@ -333,11 +334,23 @@ pub struct Collected {
     pub sharded: Option<ShardedDecode>,
 }
 
-/// The transport half of a training step: broadcast the parameters, gather
+/// The transport half of a training step: deliver the parameters, gather
 /// the arrival set `W'` with per-worker codewords, and report liveness.
 ///
 /// Everything else — decode, repair, bounds, normalization, the SGD update,
 /// reporting — is the engine's job.
+///
+/// **Send/collect contract.** Delivery and collection are separate calls.
+/// The engine calls [`Collector::send`] exactly once per step, as soon as
+/// the step's parameters exist, and [`Collector::collect`] for that step
+/// later. Step `s+1` is sent right after step `s`'s SGD update, *before*
+/// step `s`'s full-dataset loss, [`Collector::after_step`] and the
+/// observer, so workers compute while the master evaluates; a session's
+/// first step (fresh or resumed) is sent at the start of its first
+/// [`StepEngine::step`]. No step at or past `max_steps` is sent. Because the
+/// next step is sent before the loss is known, a session that ends on its
+/// loss threshold or an observer [`StepControl::Crash`] leaves one sent step
+/// that is never collected; the backend's shutdown (or hard close) ends it.
 pub trait Collector {
     /// Cluster size; must equal the placement's `n`.
     fn n(&self) -> usize;
@@ -353,8 +366,16 @@ pub trait Collector {
     /// Backends that push assignments to real workers re-issue them here.
     fn on_repair(&mut self, _events: &[RepairEvent], _assignments: &[Vec<usize>]) {}
 
-    /// Runs one collection round: deliver `ctx.params` to the workers and
-    /// return the arrivals under the backend's wait policy.
+    /// Delivers step `step`'s parameters to the workers. Called after the
+    /// step's liveness bookkeeping and placement repair, so adopters get
+    /// their new partitions first. The default does nothing, which suits
+    /// in-process backends that compute codewords inside `collect`. A
+    /// transport that fails here reports the failure from `collect`.
+    fn send(&mut self, _step: u64, _params: &Vector) {}
+
+    /// Runs one collection round for the step [`Collector::send`] already
+    /// delivered: wait for arrivals under the backend's wait policy and
+    /// return them. It never broadcasts.
     fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError>;
 
     /// Called after the optimizer update with the step count completed so
@@ -681,6 +702,7 @@ impl StepEngine {
             last_loss: None,
             started: std::time::Instant::now(),
             next_step: self.start_step,
+            sent: None,
             done: self.start_step >= self.config.max_steps,
         }
     }
@@ -734,30 +756,12 @@ impl StepEngine {
     ) -> Result<(), EngineError> {
         let n = self.n();
         let step = session.next_step;
-
-        // Liveness bookkeeping and placement repair, before broadcast so
-        // adopters receive their new partitions along with the params.
-        let alive = collector.alive();
-        debug_assert_eq!(alive.len(), n, "collector liveness vector sized wrong");
-        for (w, &w_alive) in alive.iter().enumerate() {
-            if w_alive {
-                self.dead_steps[w] = 0;
-            } else {
-                self.dead_steps[w] += 1;
-            }
-        }
-        let mut repairs = Vec::new();
-        if let Some(threshold) = self.config.repair_after_steps {
-            for dead in 0..n {
-                if self.dead_steps[dead] >= threshold && !self.repair.assignments[dead].is_empty() {
-                    repairs.extend(self.repair.repair_worker(dead, &alive));
-                }
-            }
-            if !repairs.is_empty() {
-                self.repair.commit();
-                collector.on_repair(&repairs, &self.repair.assignments);
-            }
-        }
+        // A session's first step is sent here; every later one was sent
+        // right after the previous step's update, with its repairs.
+        let repairs = match session.sent.take() {
+            Some(repairs) => repairs,
+            None => self.send_step(step, &session.params, collector),
+        };
 
         let collected = collector.collect(&StepContext {
             step,
@@ -935,6 +939,13 @@ impl StepEngine {
             }
         }
 
+        // Send the next step before evaluating this one's loss: the
+        // full-dataset loss then overlaps the workers' compute instead of
+        // idling them. (A session that stops on its threshold or a crash
+        // leaves this send unanswered; see the `Collector` docs.)
+        if step + 1 < self.config.max_steps {
+            session.sent = Some(self.send_step(step + 1, &session.params, collector));
+        }
         let loss = model.loss_mean(&session.params, dataset, &session.all_indices);
         collector.after_step(
             step + 1,
@@ -946,7 +957,10 @@ impl StepEngine {
 
         let report = StepReport {
             step,
-            ignored: (0..n).filter(|w| !decoded.selected.contains(w)).collect(),
+            ignored: {
+                let chosen = WorkerSet::from_indices(n, decoded.selected.iter().copied());
+                (0..n).filter(|&w| !chosen.contains(w)).collect()
+            },
             arrivals: collected.arrivals,
             waited_ms: collected.waited_ms,
             duration: collected.duration,
@@ -979,6 +993,42 @@ impl StepEngine {
             session.done = true;
         }
         Ok(())
+    }
+
+    /// Step `step`'s delivery: liveness bookkeeping and placement repair,
+    /// before the send so adopters receive their new partitions along with
+    /// the params, then [`Collector::send`]. Returns the repair events, which
+    /// belong to `step`'s report.
+    fn send_step(
+        &mut self,
+        step: u64,
+        params: &Vector,
+        collector: &mut dyn Collector,
+    ) -> Vec<RepairEvent> {
+        let n = self.n();
+        let alive = collector.alive();
+        debug_assert_eq!(alive.len(), n, "collector liveness vector sized wrong");
+        for (w, &w_alive) in alive.iter().enumerate() {
+            if w_alive {
+                self.dead_steps[w] = 0;
+            } else {
+                self.dead_steps[w] += 1;
+            }
+        }
+        let mut repairs = Vec::new();
+        if let Some(threshold) = self.config.repair_after_steps {
+            for dead in 0..n {
+                if self.dead_steps[dead] >= threshold && !self.repair.assignments[dead].is_empty() {
+                    repairs.extend(self.repair.repair_worker(dead, &alive));
+                }
+            }
+            if !repairs.is_empty() {
+                self.repair.commit();
+                collector.on_repair(&repairs, &self.repair.assignments);
+            }
+        }
+        collector.send(step, params);
+        repairs
     }
 
     /// Closes a session and returns its [`TrainReport`].
@@ -1044,6 +1094,9 @@ pub struct Session {
     last_loss: Option<f64>,
     started: std::time::Instant,
     next_step: u64,
+    /// `Some(repairs)` once `next_step` was sent, with the repair events
+    /// decided before its send.
+    sent: Option<Vec<RepairEvent>>,
     done: bool,
 }
 
@@ -1226,6 +1279,194 @@ mod tests {
             observer,
         )
         .unwrap()
+    }
+
+    /// What the engine asked of the recording collector and the counting
+    /// model, in call order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        Send(u64),
+        Collect(u64),
+        Repair,
+        Loss,
+    }
+
+    type CallLog = std::rc::Rc<std::cell::RefCell<Vec<Call>>>;
+
+    /// A [`ScriptedCollector`] that logs every send, collect and repair.
+    struct RecordingCollector<'a, M: Model> {
+        inner: ScriptedCollector<'a, M>,
+        log: CallLog,
+    }
+
+    impl<M: Model> Collector for RecordingCollector<'_, M> {
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+
+        fn alive(&self) -> Vec<bool> {
+            self.inner.alive()
+        }
+
+        fn on_repair(&mut self, events: &[RepairEvent], assignments: &[Vec<usize>]) {
+            self.log.borrow_mut().push(Call::Repair);
+            self.inner.on_repair(events, assignments);
+        }
+
+        fn send(&mut self, step: u64, _params: &Vector) {
+            self.log.borrow_mut().push(Call::Send(step));
+        }
+
+        fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
+            self.log.borrow_mut().push(Call::Collect(ctx.step));
+            self.inner.collect(ctx)
+        }
+    }
+
+    /// A model that logs each `loss_mean` call.
+    struct CountingModel {
+        inner: LinearRegression,
+        log: CallLog,
+    }
+
+    impl Model for CountingModel {
+        fn param_dim(&self) -> usize {
+            self.inner.param_dim()
+        }
+
+        fn init_params(&self, rng: &mut dyn rand::RngCore) -> Vector {
+            self.inner.init_params(rng)
+        }
+
+        fn loss_mean(&self, params: &Vector, data: &Dataset, indices: &[usize]) -> f64 {
+            self.log.borrow_mut().push(Call::Loss);
+            self.inner.loss_mean(params, data, indices)
+        }
+
+        fn gradient_sum_into(
+            &self,
+            params: &Vector,
+            data: &Dataset,
+            indices: &[usize],
+            out: &mut Vector,
+        ) {
+            self.inner.gradient_sum_into(params, data, indices, out);
+        }
+    }
+
+    /// Runs FR(4,2) for `max_steps` from `start_step` with worker 3 down
+    /// from `down_at` on, logging the engine's calls.
+    fn recorded_run(
+        start_step: u64,
+        max_steps: u64,
+        loss_threshold: f64,
+        down_at: Option<u64>,
+    ) -> (TrainReport, Vec<Call>) {
+        let placement = Placement::fractional(4, 2).unwrap();
+        let dataset = Dataset::synthetic_regression(64, 3, 0.05, 9);
+        let log = CallLog::default();
+        let model = CountingModel {
+            inner: LinearRegression::new(3),
+            log: log.clone(),
+        };
+        let mut config = EngineConfig::new(placement.clone());
+        config.batch_size = 8;
+        config.max_steps = max_steps;
+        config.loss_threshold = loss_threshold;
+        config.seed = 5;
+        config.repair_after_steps = Some(2);
+        let mut engine = StepEngine::new(config).unwrap();
+        let assignments: Vec<Vec<usize>> = (0..4)
+            .map(|w| placement.partitions_of(w).to_vec())
+            .collect();
+        engine.resume_from(start_step, assignments.clone()).unwrap();
+        let mut collector = RecordingCollector {
+            inner: ScriptedCollector {
+                model: &model.inner,
+                dataset: &dataset,
+                assignments,
+                batch_size: 8,
+                seed: 5,
+                down_from: down_at.map(|at| (at, vec![3])).into_iter().collect(),
+                back_from: Vec::new(),
+                step_now: 0,
+            },
+            log: log.clone(),
+        };
+        let report = engine
+            .run(&model, &dataset, None, &mut collector, &mut NoopObserver)
+            .unwrap();
+        let calls = log.borrow().clone();
+        (report, calls)
+    }
+
+    /// The step order: send(s) before collect(s), then send(s+1) strictly
+    /// before step s's loss, one send per step, none at or past
+    /// `max_steps`.
+    #[test]
+    fn next_step_is_sent_before_this_steps_loss() {
+        let (report, calls) = recorded_run(0, 6, -1.0, None);
+        assert_eq!(report.step_count(), 6);
+        let mut expected = vec![Call::Send(0)];
+        for s in 0..6 {
+            expected.push(Call::Collect(s));
+            if s + 1 < 6 {
+                expected.push(Call::Send(s + 1));
+            }
+            expected.push(Call::Loss);
+        }
+        assert_eq!(calls, expected);
+    }
+
+    #[test]
+    fn resumed_session_sends_its_start_step_first() {
+        let (report, calls) = recorded_run(4, 7, -1.0, None);
+        assert_eq!(report.steps[0].step, 4);
+        assert_eq!(calls[..2], [Call::Send(4), Call::Collect(4)]);
+        let sends: Vec<Call> = calls
+            .iter()
+            .copied()
+            .filter(|c| matches!(c, Call::Send(_)))
+            .collect();
+        assert_eq!(sends, [Call::Send(4), Call::Send(5), Call::Send(6)]);
+    }
+
+    /// A threshold stop leaves exactly one sent step uncollected.
+    #[test]
+    fn threshold_stop_abandons_one_sent_step() {
+        let (report, calls) = recorded_run(0, 6, f64::INFINITY, None);
+        assert!(report.reached_threshold);
+        assert_eq!(report.step_count(), 1);
+        assert_eq!(
+            calls,
+            [Call::Send(0), Call::Collect(0), Call::Send(1), Call::Loss]
+        );
+    }
+
+    /// Repair for step s+1 is decided at the end of step s (before its
+    /// loss) and reported with step s+1.
+    #[test]
+    fn early_repairs_land_in_the_next_steps_report() {
+        let (report, calls) = recorded_run(0, 8, -1.0, Some(3));
+        let at = |call: Call| calls.iter().position(|&c| c == call).unwrap();
+        let repair = at(Call::Repair);
+        assert_eq!(calls[repair + 1], Call::Send(5));
+        assert!(at(Call::Collect(4)) < repair);
+        let loss_of_step_4 = calls
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c == Call::Loss)
+            .nth(4)
+            .unwrap()
+            .0;
+        assert!(repair < loss_of_step_4);
+        let repaired: Vec<u64> = report
+            .steps
+            .iter()
+            .filter(|s| !s.repairs.is_empty())
+            .map(|s| s.step)
+            .collect();
+        assert_eq!(repaired, [5]);
     }
 
     #[test]

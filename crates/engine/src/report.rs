@@ -66,7 +66,9 @@ pub struct StepReport {
     /// Workers whose codeword for this step arrived in time, arrival order.
     pub arrivals: Vec<usize>,
     /// How long the collector waited for codewords, in milliseconds
-    /// (simulated time for the simulator backend).
+    /// (simulated time for the simulator backend). Real transports count
+    /// from the step's send, so this includes the previous step's loss
+    /// evaluation, which overlaps the workers' compute.
     pub waited_ms: f64,
     /// Duration of the step in seconds (simulated time for the simulator,
     /// wall-clock collection time elsewhere).
@@ -90,9 +92,9 @@ pub struct StepReport {
     pub dead: Vec<usize>,
     /// Workers that declined this step (fast-fail straggler signal).
     pub declined: Vec<usize>,
-    /// Partition reassignments applied at the start of this step by
-    /// placement repair (empty unless a worker was declared permanently
-    /// dead right before this step).
+    /// Partition reassignments applied by placement repair right before
+    /// this step's params were sent (empty unless a worker was declared
+    /// permanently dead then).
     pub repairs: Vec<RepairEvent>,
     /// Late codewords from earlier steps discarded while collecting.
     pub stale: usize,

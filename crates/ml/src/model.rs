@@ -267,17 +267,22 @@ impl SoftmaxRegression {
         self.classes
     }
 
-    fn logits(&self, params: &Vector, x: &[f64]) -> Vec<f64> {
+    /// Writes the logits `z_c = w_cᵀx + b_c` into `z` (one per class).
+    fn logits_into(&self, params: &Vector, x: &[f64], z: &mut [f64]) {
         assert_eq!(params.len(), self.param_dim(), "bad parameter vector");
         assert_eq!(x.len(), self.features, "bad feature vector");
         let p = self.features;
-        (0..self.classes)
-            .map(|c| {
-                let w = &params.as_slice()[c * p..(c + 1) * p];
-                let b = params[self.classes * p + c];
-                kernels::dot(x, w) + b
-            })
-            .collect()
+        for (c, zc) in z.iter_mut().enumerate() {
+            let w = &params.as_slice()[c * p..(c + 1) * p];
+            let b = params[self.classes * p + c];
+            *zc = kernels::dot(x, w) + b;
+        }
+    }
+
+    fn logits(&self, params: &Vector, x: &[f64]) -> Vec<f64> {
+        let mut z = vec![0.0; self.classes];
+        self.logits_into(params, x, &mut z);
+        z
     }
 
     /// Class probabilities for input `x`.
@@ -313,10 +318,11 @@ impl Model for SoftmaxRegression {
 
     fn loss_mean(&self, params: &Vector, data: &Dataset, indices: &[usize]) -> f64 {
         assert!(!indices.is_empty(), "loss over empty batch");
+        let mut z = vec![0.0; self.classes];
         let total: f64 = indices
             .iter()
             .map(|&i| {
-                let z = self.logits(params, data.features_of(i));
+                self.logits_into(params, data.features_of(i), &mut z);
                 let y = data.target_of(i) as usize;
                 log_sum_exp(&z) - z[y]
             })
@@ -333,9 +339,12 @@ impl Model for SoftmaxRegression {
     ) {
         assert_eq!(out.len(), self.param_dim(), "bad gradient vector");
         let p = self.features;
+        let mut probs = vec![0.0; self.classes];
         for &i in indices {
             let x = data.features_of(i);
-            let probs = self.probabilities(params, x);
+            // `probabilities`, into the one scratch buffer.
+            self.logits_into(params, x, &mut probs);
+            softmax_in_place(&mut probs);
             let y = data.target_of(i) as usize;
             let os = out.as_mut_slice();
             for (c, &pc) in probs.iter().enumerate() {
@@ -397,25 +406,29 @@ impl Mlp {
         self.w2_offset() + self.classes * self.hidden
     }
 
-    /// Forward pass: returns (hidden activations, logits).
-    fn forward(&self, params: &Vector, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    /// Forward pass into caller buffers: hidden activations into `a`
+    /// (`hidden` long), logits into `z` (`classes` long).
+    fn forward_into(&self, params: &Vector, x: &[f64], a: &mut [f64], z: &mut [f64]) {
         assert_eq!(params.len(), self.param_dim(), "bad parameter vector");
         assert_eq!(x.len(), self.features, "bad feature vector");
         let ps = params.as_slice();
-        let a: Vec<f64> = (0..self.hidden)
-            .map(|h| {
-                let w = &ps[self.w1_offset() + h * self.features..][..self.features];
-                let b = ps[self.b1_offset() + h];
-                (kernels::dot(x, w) + b).tanh()
-            })
-            .collect();
-        let z: Vec<f64> = (0..self.classes)
-            .map(|c| {
-                let w = &ps[self.w2_offset() + c * self.hidden..][..self.hidden];
-                let b = ps[self.b2_offset() + c];
-                kernels::dot(&a, w) + b
-            })
-            .collect();
+        for (h, ah) in a.iter_mut().enumerate() {
+            let w = &ps[self.w1_offset() + h * self.features..][..self.features];
+            let b = ps[self.b1_offset() + h];
+            *ah = (kernels::dot(x, w) + b).tanh();
+        }
+        for (c, zc) in z.iter_mut().enumerate() {
+            let w = &ps[self.w2_offset() + c * self.hidden..][..self.hidden];
+            let b = ps[self.b2_offset() + c];
+            *zc = kernels::dot(a, w) + b;
+        }
+    }
+
+    /// Forward pass: returns (hidden activations, logits).
+    fn forward(&self, params: &Vector, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let mut a = vec![0.0; self.hidden];
+        let mut z = vec![0.0; self.classes];
+        self.forward_into(params, x, &mut a, &mut z);
         (a, z)
     }
 
@@ -464,12 +477,14 @@ impl Model for Mlp {
 
     fn loss_mean(&self, params: &Vector, data: &Dataset, indices: &[usize]) -> f64 {
         assert!(!indices.is_empty(), "loss over empty batch");
+        let mut scratch = vec![0.0; self.hidden + self.classes];
+        let (a, z) = scratch.split_at_mut(self.hidden);
         let total: f64 = indices
             .iter()
             .map(|&i| {
-                let (_, z) = self.forward(params, data.features_of(i));
+                self.forward_into(params, data.features_of(i), a, z);
                 let y = data.target_of(i) as usize;
-                log_sum_exp(&z) - z[y]
+                log_sum_exp(z) - z[y]
             })
             .sum();
         total / indices.len() as f64
@@ -484,11 +499,15 @@ impl Model for Mlp {
     ) {
         assert_eq!(out.len(), self.param_dim(), "bad gradient vector");
         let ps = params.as_slice();
-        let mut delta_hidden = vec![0.0f64; self.hidden];
+        // One scratch buffer per call: activations, probabilities, and the
+        // hidden-layer deltas.
+        let mut scratch = vec![0.0f64; 2 * self.hidden + self.classes];
+        let (a, rest) = scratch.split_at_mut(self.hidden);
+        let (probs, delta_hidden) = rest.split_at_mut(self.classes);
         for &i in indices {
             let x = data.features_of(i);
-            let (a, mut probs) = self.forward(params, x);
-            softmax_in_place(&mut probs);
+            self.forward_into(params, x, a, probs);
+            softmax_in_place(probs);
             let y = data.target_of(i) as usize;
             // Output layer deltas: dL/dz_c = p_c − 1[c = y].
             delta_hidden.fill(0.0);
@@ -499,9 +518,9 @@ impl Model for Mlp {
                 kernels::axpy(
                     &mut os[self.w2_offset() + c * self.hidden..][..self.hidden],
                     dz,
-                    &a,
+                    a,
                 );
-                kernels::axpy(&mut delta_hidden, dz, w2_row);
+                kernels::axpy(delta_hidden, dz, w2_row);
                 os[self.b2_offset() + c] += dz;
             }
             // Hidden layer: dL/da_h through tanh'(u) = 1 − a².
@@ -521,6 +540,7 @@ impl Model for Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -665,6 +685,123 @@ mod tests {
         assert_eq!(LogisticRegression::new(5).param_dim(), 6);
         assert_eq!(SoftmaxRegression::new(5, 3).param_dim(), 18);
         assert_eq!(Mlp::new(4, 8, 3).param_dim(), 4 * 8 + 8 + 8 * 3 + 3);
+    }
+
+    /// The allocating per-sample reference for softmax regression: a fresh
+    /// `logits`/`probabilities` vector per sample, summed in index order.
+    fn softmax_reference(
+        model: &SoftmaxRegression,
+        params: &Vector,
+        data: &Dataset,
+        indices: &[usize],
+        out: &mut Vector,
+    ) -> f64 {
+        let p = model.features;
+        for &i in indices {
+            let x = data.features_of(i);
+            let probs = model.probabilities(params, x);
+            let y = data.target_of(i) as usize;
+            let os = out.as_mut_slice();
+            for (c, &pc) in probs.iter().enumerate() {
+                let e = pc - f64::from(c == y);
+                kernels::axpy(&mut os[c * p..(c + 1) * p], e, x);
+                os[model.classes * p + c] += e;
+            }
+        }
+        let total: f64 = indices
+            .iter()
+            .map(|&i| {
+                let z = model.logits(params, data.features_of(i));
+                log_sum_exp(&z) - z[data.target_of(i) as usize]
+            })
+            .sum();
+        total / indices.len() as f64
+    }
+
+    /// The allocating per-sample reference for the MLP: a fresh `forward`
+    /// pair of vectors per sample, summed in index order.
+    fn mlp_reference(
+        model: &Mlp,
+        params: &Vector,
+        data: &Dataset,
+        indices: &[usize],
+        out: &mut Vector,
+    ) -> f64 {
+        let ps = params.as_slice();
+        for &i in indices {
+            let x = data.features_of(i);
+            let (a, mut probs) = model.forward(params, x);
+            softmax_in_place(&mut probs);
+            let y = data.target_of(i) as usize;
+            let mut delta_hidden = vec![0.0; model.hidden];
+            let os = out.as_mut_slice();
+            for (c, &pc) in probs.iter().enumerate() {
+                let dz = pc - f64::from(c == y);
+                let row = model.w2_offset() + c * model.hidden;
+                kernels::axpy(&mut os[row..][..model.hidden], dz, &a);
+                kernels::axpy(&mut delta_hidden, dz, &ps[row..][..model.hidden]);
+                os[model.b2_offset() + c] += dz;
+            }
+            for (h, &dh) in delta_hidden.iter().enumerate() {
+                let da = dh * (1.0 - a[h] * a[h]);
+                let row = model.w1_offset() + h * model.features;
+                kernels::axpy(&mut os[row..][..model.features], da, x);
+                os[model.b1_offset() + h] += da;
+            }
+        }
+        let total: f64 = indices
+            .iter()
+            .map(|&i| {
+                let (_, z) = model.forward(params, data.features_of(i));
+                log_sum_exp(&z) - z[data.target_of(i) as usize]
+            })
+            .sum();
+        total / indices.len() as f64
+    }
+
+    /// Runs `model`'s loss and (pre-loaded) gradient against `reference`
+    /// and demands identical bits.
+    fn assert_bit_equal<M: Model>(
+        model: &M,
+        reference: impl Fn(&M, &Vector, &Dataset, &[usize], &mut Vector) -> f64,
+        data: &Dataset,
+        indices: &[usize],
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let params = Vector::random_normal(model.param_dim(), 0.0, 2.0, &mut rng);
+        let preload = Vector::random_normal(model.param_dim(), 0.0, 1.0, &mut rng);
+        let (mut got, mut want) = (preload.clone(), preload);
+        model.gradient_sum_into(&params, data, indices, &mut got);
+        let want_loss = reference(model, &params, data, indices, &mut want);
+        let got_loss = model.loss_mean(&params, data, indices);
+        prop_assert_eq!(got_loss.to_bits(), want_loss.to_bits());
+        for (d, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+            prop_assert_eq!(g.to_bits(), w.to_bits(), "gradient entry {}", d);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The scratch-buffer loss and gradient paths are bit-for-bit the
+        /// per-sample formulas they replaced, in every shape and for any
+        /// index multiset (repeats and arbitrary order included).
+        #[test]
+        fn scratch_paths_match_per_sample_formulas_bitwise(
+            features in 1usize..6,
+            hidden in 1usize..9,
+            classes in 2usize..5,
+            indices in prop::collection::vec(0usize..24, 1..40),
+            seed in 0u64..1 << 48,
+        ) {
+            let data = Dataset::gaussian_classification(24, features, classes, 2.0, seed);
+            let softmax = SoftmaxRegression::new(features, classes);
+            assert_bit_equal(&softmax, softmax_reference, &data, &indices, seed)?;
+            let mlp = Mlp::new(features, hidden, classes);
+            assert_bit_equal(&mlp, mlp_reference, &data, &indices, seed)?;
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!
 //! Step semantics — decode, repair, bounds, normalization, the SGD update —
 //! live in [`isgc_engine::StepEngine`]; this module is the TCP
-//! [`Collector`]: registration, liveness, broadcast, collection, and
-//! checkpoint persistence. All I/O rides the nonblocking
+//! [`Collector`]: registration, liveness, the `Params` broadcast (`send`),
+//! collection, and checkpoint persistence. All I/O rides the nonblocking
 //! `crate::reactor`: the master process runs the accept path, every
 //! connection, and the step state machine on **one** thread, regardless of
 //! `n` — connection lifecycle events arrive as `NetEvent`s where the old
@@ -72,18 +72,19 @@ pub struct NetConfig {
     /// When set, the master persists a [`MasterCheckpoint`] on the given
     /// cadence and resumes from the file if it exists at startup.
     pub checkpoint: Option<CheckpointConfig>,
-    /// When set, a worker dead for this many consecutive step starts is
+    /// When set, a worker dead for this many consecutive step sends is
     /// declared permanently dead: its partitions are reassigned to
     /// survivors (minimizing added conflict-graph edges) and fresh `Assign`
     /// frames are issued. Counted in steps, not wall time, so seeded chaos
     /// schedules replay exactly.
     pub repair_after_steps: Option<u64>,
-    /// How long each step start waits for a previously-registered but
-    /// currently disconnected worker to re-register before broadcasting.
-    /// Zero (the default) broadcasts immediately. The chaos harness sets a
-    /// generous grace so a flapping worker's arrival set depends only on
-    /// its scripted faults, never on how fast its reconnect handshake races
-    /// the next broadcast. Workers already declared dead by placement
+    /// How long each step's send waits for a previously-registered but
+    /// currently disconnected worker to re-register before broadcasting
+    /// (the engine sends step `s+1` right after step `s`'s update, before
+    /// its loss). Zero (the default) broadcasts immediately. The chaos
+    /// harness sets a generous grace so a flapping worker's arrival set
+    /// depends only on its scripted faults, never on how fast its reconnect
+    /// handshake races the next broadcast. Workers already declared dead by placement
     /// repair are never waited for.
     pub rejoin_grace: Duration,
     /// When set, the master records the engine's per-step metric series
@@ -549,6 +550,19 @@ pub struct MasterLoop {
     /// `Assign` frames and to decide which disconnected workers are worth a
     /// rejoin grace.
     assignments: Vec<Vec<usize>>,
+    /// The step `send` broadcast and `collect` has not closed yet.
+    sent: Option<Sent>,
+}
+
+/// What a collector's `send` leaves for its `collect` (the engine always
+/// sends a step before it collects it).
+pub(crate) struct Sent {
+    /// When the step's `Params` went out: the collection clock
+    /// (`waited_ms`, `duration`, a [`WaitPolicy::Deadline`]) starts here.
+    pub(crate) at: Instant,
+    /// Codewords or shard uploads the rejoin grace swallowed before the
+    /// broadcast — necessarily stale.
+    pub(crate) stale: usize,
 }
 
 impl Collector for MasterLoop {
@@ -571,17 +585,30 @@ impl Collector for MasterLoop {
         self.reissue_assigns(&touched);
     }
 
-    fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
+    /// Waits out the rejoin grace, then broadcasts the step's `Params`. The
+    /// codewords swallowed by the grace and the send instant wait for
+    /// `collect`.
+    fn send(&mut self, step: u64, params: &Vector) {
         let assignments = &self.assignments;
-        let pre_stale = self
+        let stale = self
             .members
             .await_rejoins(self.config.rejoin_grace, |w| !assignments[w].is_empty());
         // One encode, shared bytes to every peer — the fast path skips the
         // `Vec<f64>` clone a `Message::Params` round-trip would cost.
-        let frame: Arc<[u8]> =
-            encode_params_frame(self.config.job, ctx.step, ctx.params.as_slice()).into();
+        let frame: Arc<[u8]> = encode_params_frame(self.config.job, step, params.as_slice()).into();
         self.members.broadcast(&frame);
-        self.collect_step(ctx.step, pre_stale).map_err(backend)
+        self.sent = Some(Sent {
+            at: Instant::now(),
+            stale,
+        });
+    }
+
+    fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
+        let sent = self
+            .sent
+            .take()
+            .expect("the engine sends each step before collecting it");
+        self.collect_step(ctx.step, sent).map_err(backend)
     }
 
     fn after_step(
@@ -618,6 +645,7 @@ impl MasterLoop {
             members,
             config,
             assignments,
+            sent: None,
         }
     }
 
@@ -724,10 +752,14 @@ impl MasterLoop {
         ck.save(&ck_config.path)
     }
 
-    /// Collects one step's codewords under the configured wait policy;
-    /// `stale` codewords were already swallowed before the broadcast.
-    fn collect_step(&mut self, step: u64, mut stale: usize) -> Result<Collected, NetError> {
-        let step_start = Instant::now();
+    /// Collects the sent step's codewords under the configured wait policy,
+    /// timed from the broadcast; `sent.stale` codewords were already
+    /// swallowed before it.
+    fn collect_step(&mut self, step: u64, sent: Sent) -> Result<Collected, NetError> {
+        let Sent {
+            at: step_start,
+            mut stale,
+        } = sent;
         let cutoff = match self.config.wait {
             WaitPolicy::FirstW(_) => None,
             WaitPolicy::Deadline(d) => Some(step_start + d),

@@ -329,9 +329,10 @@ impl Membership {
         stale
     }
 
-    /// The eligibility snapshot, taken once per step right after the
-    /// broadcast: a slot is eligible only through the connection that
-    /// received the step's `Params`. One that reconnects mid-step cannot
+    /// The eligibility snapshot, taken once per step when collection
+    /// starts. No event is processed between the broadcast and then (the
+    /// loss evaluated in between never polls), so a slot is eligible only
+    /// through the connection that received the step's `Params`. One that reconnects mid-step cannot
     /// produce this step's answer, so it must not be waited on.
     pub(crate) fn snapshot(&self) -> Vec<Option<Token>> {
         self.slots

@@ -40,7 +40,7 @@ use isgc_engine::{
 };
 use isgc_linalg::Vector;
 
-use crate::master::{backend, NetConfig};
+use crate::master::{backend, NetConfig, Sent};
 use crate::membership::{Inbound, Membership, Tier, POLL};
 use crate::reactor::{NetEvent, Reactor, Token};
 use crate::retry::RetryPolicy;
@@ -60,6 +60,8 @@ pub struct TreeRootLoop {
     members: Membership,
     shards: Vec<(usize, usize)>,
     config: NetConfig,
+    /// The step `send` broadcast and `collect` has not closed yet.
+    sent: Option<Sent>,
 }
 
 /// One shard's upload for the step being collected.
@@ -134,6 +136,7 @@ impl TreeRootLoop {
             members,
             shards,
             config,
+            sent: None,
         })
     }
 
@@ -174,17 +177,31 @@ impl Collector for TreeRootLoop {
         alive
     }
 
-    fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
+    /// Waits out the rejoin grace, then broadcasts the step's `Params` to
+    /// every alive sub-master; `collect` picks up the grace's stale count
+    /// and the send instant.
+    fn send(&mut self, step: u64, params: &Vector) {
         // A restarted shard's step membership depends only on the step its
         // crash was scripted at, never on how fast its restart races the
-        // next broadcast.
-        let mut stale = self
+        // broadcast (which the engine issues right after the previous
+        // step's update).
+        let stale = self
             .members
             .await_rejoins(self.config.rejoin_grace, |_| true);
-        let step_start = Instant::now();
-        let frame: Arc<[u8]> =
-            encode_params_frame(self.config.job, ctx.step, ctx.params.as_slice()).into();
+        let at = Instant::now();
+        let frame: Arc<[u8]> = encode_params_frame(self.config.job, step, params.as_slice()).into();
         self.members.broadcast(&frame);
+        self.sent = Some(Sent { at, stale });
+    }
+
+    fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
+        let Sent {
+            at: step_start,
+            mut stale,
+        } = self
+            .sent
+            .take()
+            .expect("the engine sends each step before collecting it");
         // A deadline wait policy caps how long present shards are held up by
         // an absent one. Under FirstW the root waits for every shard that
         // received the broadcast — a crashed shard's EOF unblocks the step

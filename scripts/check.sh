@@ -27,6 +27,10 @@ echo "== metrics snapshots match their goldens (scripts/bless.sh to re-bless)"
 # tests/golden/ is a hard failure here, never a silent regeneration.
 cargo test -q --test obs_snapshot
 
+echo "== step-anatomy benchmark smoke (oracle equality, thread counts, bit-exact sim re-run)"
+# Every workload at toy size through the benchmark's own output checks.
+cargo test --release --offline --manifest-path stepbench/Cargo.toml
+
 echo "== chaos smoke (seeded, deterministic)"
 cargo run --release --quiet -- chaos --plan smoke --seed 42
 
@@ -74,4 +78,4 @@ echo "== kernels bench smoke + regression guard (30% ns/elem budget)"
 ISGC_BENCH_SMOKE=1 cargo run --release --quiet -p isgc-bench --bin kernels -- target/BENCH_kernels_smoke.json > /dev/null
 scripts/bench_guard.sh target/BENCH_kernels_smoke.json
 
-echo "ok: fmt, clippy, docs, tests, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, model check, and perf guards all clean"
+echo "ok: fmt, clippy, docs, tests, engine parity, snapshots, benchmark smoke, chaos, blackout, multi-tenant, reactor scale, model check, and perf guards all clean"

@@ -339,3 +339,59 @@ fn heartbeat_silent_worker_still_gets_the_shutdown() {
     assert!(!report.steps[0].arrivals.contains(&silent.worker));
     assert_eq!(silent.cause, isgc_net::ShutdownCause::MasterShutdown);
 }
+
+/// Runs `config` on a healthy loopback cluster of `N` workers and returns
+/// the master's report and every worker's shutdown cause.
+fn run_healthy_cluster(config: NetConfig) -> (NetTrainReport, Vec<isgc_net::ShutdownCause>) {
+    let master = Master::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = master.local_addr().expect("local addr");
+    let master_handle = thread::spawn(move || {
+        master
+            .run(&LinearRegression::new(FEATURES), &shared_dataset(), &config)
+            .expect("master run")
+    });
+    let workers: Vec<_> = (0..N)
+        .map(|_| {
+            thread::spawn(move || {
+                run_worker(addr, &WorkerOptions::default(), |_assignment| {
+                    (LinearRegression::new(FEATURES), shared_dataset())
+                })
+                .expect("worker run")
+            })
+        })
+        .collect();
+    let report = master_handle.join().expect("master thread");
+    let causes = workers
+        .into_iter()
+        .map(|w| w.join().expect("worker thread").cause)
+        .collect();
+    (report, causes)
+}
+
+#[test]
+fn threshold_stop_shuts_down_workers_holding_an_abandoned_step() {
+    // The master sends step t+1 before it evaluates step t's loss, so a run
+    // that stops on its loss threshold leaves one sent step unanswered. It
+    // must still end cleanly: Ok with the steps up to the threshold step,
+    // and a Shutdown for every worker, however far into the abandoned step
+    // it got. FirstW(N) makes the loss curve independent of timing.
+    let placement = Placement::fractional(N, C).expect("valid FR placement");
+    let config = cluster_config(placement, WaitPolicy::FirstW(N), 10);
+    let (full, _) = run_healthy_cluster(config.clone());
+    let losses = full.loss_curve();
+    let threshold = losses[3];
+    let stop = losses
+        .iter()
+        .position(|&l| l <= threshold)
+        .expect("threshold reached");
+
+    let mut stopping = config;
+    stopping.loss_threshold = threshold;
+    let (report, causes) = run_healthy_cluster(stopping);
+    assert!(report.reached_threshold);
+    assert_eq!(report.step_count(), stop + 1);
+    assert_eq!(report.loss_curve(), losses[..=stop]);
+    for cause in causes {
+        assert_eq!(cause, isgc_net::ShutdownCause::MasterShutdown);
+    }
+}
