@@ -320,10 +320,11 @@ pub struct Collected {
     pub declined: Vec<usize>,
     /// Stale codewords from earlier steps discarded while waiting.
     pub stale: usize,
-    /// How long collection waited, in milliseconds.
+    /// How long collection waited, in milliseconds; real transports time it
+    /// from the send (see [`StepReport::waited_ms`]).
     pub waited_ms: f64,
     /// Duration to attribute to this step, in seconds (simulated time for
-    /// the simulator, wall-clock for real transports).
+    /// the simulator, wall-clock from the send for real transports).
     pub duration: f64,
     /// Set when the step was collected through sub-masters: the shard-local
     /// decode results and partial codeword sums. The engine then skips its
@@ -375,13 +376,19 @@ pub trait Collector {
 
     /// Runs one collection round for the step [`Collector::send`] already
     /// delivered: wait for arrivals under the backend's wait policy and
-    /// return them. It never broadcasts.
+    /// return them. It never broadcasts. Arbitrary driver time (the loss,
+    /// the checkpoint, the observer, a scheduler's other jobs) may separate
+    /// it from the send, so a deadline timed from the send can already have
+    /// passed here; what arrived meanwhile must still count.
     fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError>;
 
     /// Called after the optimizer update with the step count completed so
     /// far, the new parameters, and the degradation-ladder state
     /// (checkpointing hook). Backends that persist state must include
     /// `ladder` so a resumed run replays escalation decisions bit-for-bit.
+    /// Step `completed` (when below `max_steps`) was already sent, so an
+    /// assignment table saved here carries that step's placement repair,
+    /// and a run resumed from it decodes as the uninterrupted run does.
     fn after_step(
         &mut self,
         _completed: u64,
@@ -1467,6 +1474,141 @@ mod tests {
             .map(|s| s.step)
             .collect();
         assert_eq!(repaired, [5]);
+    }
+
+    /// What a checkpointing backend saves in `after_step`: the step to
+    /// resume at, the params, its mirrored assignment table and the ladder.
+    #[derive(Debug, Clone)]
+    struct Saved {
+        next_step: u64,
+        params: Vector,
+        assignments: Vec<Vec<usize>>,
+        consecutive_degraded: u64,
+    }
+
+    /// A [`ScriptedCollector`] that keeps every checkpoint, as the TCP
+    /// master writes them.
+    struct CheckpointingCollector<'a, M: Model> {
+        inner: ScriptedCollector<'a, M>,
+        saved: Vec<Saved>,
+    }
+
+    impl<M: Model> Collector for CheckpointingCollector<'_, M> {
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+
+        fn alive(&self) -> Vec<bool> {
+            self.inner.alive()
+        }
+
+        fn on_repair(&mut self, events: &[RepairEvent], assignments: &[Vec<usize>]) {
+            self.inner.on_repair(events, assignments);
+        }
+
+        fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
+            self.inner.collect(ctx)
+        }
+
+        fn after_step(
+            &mut self,
+            completed: u64,
+            params: &Vector,
+            ladder: LadderState,
+        ) -> Result<(), EngineError> {
+            self.saved.push(Saved {
+                next_step: completed,
+                params: params.clone(),
+                assignments: self.inner.assignments.clone(),
+                consecutive_degraded: ladder.consecutive_degraded,
+            });
+            Ok(())
+        }
+    }
+
+    /// FR(4,2) for 10 steps, worker 3 down from step 3 and repaired after
+    /// 2 dead steps; resumed from `resume` when given, crashing after step
+    /// `crash_after` when given.
+    fn checkpointed_run(
+        resume: Option<&Saved>,
+        crash_after: Option<u64>,
+    ) -> (TrainReport, Vec<Saved>) {
+        let placement = Placement::fractional(4, 2).unwrap();
+        let dataset = Dataset::synthetic_regression(64, 3, 0.05, 9);
+        let model = LinearRegression::new(3);
+        let mut config = EngineConfig::new(placement.clone());
+        config.batch_size = 8;
+        config.max_steps = 10;
+        config.loss_threshold = -1.0;
+        config.seed = 5;
+        config.repair_after_steps = Some(2);
+        let mut engine = StepEngine::new(config).unwrap();
+        let mut assignments: Vec<Vec<usize>> = (0..4)
+            .map(|w| placement.partitions_of(w).to_vec())
+            .collect();
+        if let Some(saved) = resume {
+            engine
+                .resume_from(saved.next_step, saved.assignments.clone())
+                .unwrap();
+            engine.resume_ladder(saved.consecutive_degraded);
+            assignments = saved.assignments.clone();
+        }
+        let mut collector = CheckpointingCollector {
+            inner: ScriptedCollector {
+                model: &model,
+                dataset: &dataset,
+                assignments,
+                batch_size: 8,
+                seed: 5,
+                down_from: vec![(3, vec![3])],
+                back_from: Vec::new(),
+                step_now: resume.map_or(0, |saved| saved.next_step),
+            },
+            saved: Vec::new(),
+        };
+        let mut observer = FnObserver(|r: &StepReport| {
+            if Some(r.step) == crash_after {
+                StepControl::Crash
+            } else {
+                StepControl::Continue
+            }
+        });
+        let params = resume.map(|saved| saved.params.clone());
+        let report = engine
+            .run(&model, &dataset, params, &mut collector, &mut observer)
+            .unwrap();
+        (report, collector.saved)
+    }
+
+    /// The checkpoint written at the end of step s follows step s+1's send,
+    /// so when that send repaired a worker the checkpoint already holds the
+    /// repaired table: a run that crashes right there resumes onto it and
+    /// decodes every later step exactly as the uninterrupted run does.
+    #[test]
+    fn crash_at_a_repair_step_resumes_onto_the_repaired_table() {
+        let (full, _) = checkpointed_run(None, None);
+        let repaired: Vec<u64> = full
+            .steps
+            .iter()
+            .filter(|s| !s.repairs.is_empty())
+            .map(|s| s.step)
+            .collect();
+        assert_eq!(repaired, [5]);
+
+        let (crashed, saved) = checkpointed_run(None, Some(4));
+        assert!(crashed.interrupted);
+        assert_eq!(crashed.steps, full.steps[..5]);
+        let last = saved.last().expect("a checkpoint per step");
+        assert_eq!(last.next_step, 5);
+        assert!(last.assignments[3].is_empty(), "{:?}", last.assignments);
+
+        let (resumed, _) = checkpointed_run(Some(last), None);
+        // The repair happened before the crash, so the resumed step 5
+        // reports none of its own; everything else matches bit for bit.
+        let mut expected = full.steps[5..].to_vec();
+        expected[0].repairs.clear();
+        assert_eq!(resumed.steps, expected);
+        assert_eq!(resumed.final_params, full.final_params);
     }
 
     #[test]

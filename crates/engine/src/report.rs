@@ -65,13 +65,16 @@ pub struct StepReport {
     pub step: u64,
     /// Workers whose codeword for this step arrived in time, arrival order.
     pub arrivals: Vec<usize>,
-    /// How long the collector waited for codewords, in milliseconds
-    /// (simulated time for the simulator backend). Real transports count
-    /// from the step's send, so this includes the previous step's loss
-    /// evaluation, which overlaps the workers' compute.
+    /// How long the step's codewords took, in milliseconds (simulated time
+    /// for the simulator backend). Real transports count from the step's
+    /// send, which the engine issues right after the previous step's
+    /// update, so the clock also covers whatever the driver does before
+    /// collecting: the previous step's loss, checkpoint and observer, and,
+    /// under a multi-tenant scheduler, every co-tenant job's step.
     pub waited_ms: f64,
-    /// Duration of the step in seconds (simulated time for the simulator,
-    /// wall-clock collection time elsewhere).
+    /// Duration of the step in seconds: simulated time for the simulator;
+    /// elsewhere wall-clock time from the send, with the same coverage as
+    /// [`StepReport::waited_ms`].
     pub duration: f64,
     /// Wall-clock time the decode itself took, in milliseconds. Excluded
     /// from equality; feeds the timing-classed decode-latency histogram.

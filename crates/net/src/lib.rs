@@ -74,8 +74,10 @@ pub enum WaitPolicy {
     /// Accept the first `w` codewords of the step (the paper's
     /// `ray.wait(w)`), shrinking `w` automatically when workers die.
     FirstW(usize),
-    /// Accept whatever arrives before the deadline. If nothing arrived by
-    /// then, keep waiting for the first codeword so every step progresses.
+    /// Accept whatever arrives before the deadline, timed from the step's
+    /// `Params` broadcast; codewords already queued when collection finds
+    /// the deadline passed still count. If nothing arrived by then, keep
+    /// waiting for the first codeword so every step progresses.
     Deadline(Duration),
 }
 

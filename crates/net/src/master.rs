@@ -755,6 +755,13 @@ impl MasterLoop {
     /// Collects the sent step's codewords under the configured wait policy,
     /// timed from the broadcast; `sent.stale` codewords were already
     /// swallowed before it.
+    ///
+    /// The engine runs the loss, the checkpoint and the observer (and a
+    /// scheduler runs its other jobs' steps) between `send` and `collect`,
+    /// so a [`WaitPolicy::Deadline`] cutoff may already have passed when
+    /// collection starts. Past the cutoff the loop therefore polls without
+    /// waiting and closes the step on the first quiet poll: every codeword
+    /// already queued counts, not just the first one read.
     fn collect_step(&mut self, step: u64, sent: Sent) -> Result<Collected, NetError> {
         let Sent {
             at: step_start,
@@ -769,6 +776,8 @@ impl MasterLoop {
         let mut codewords: Vec<Option<Vector>> = vec![None; n];
         let mut arrivals: Vec<usize> = Vec::new();
         let mut declined: Vec<bool> = vec![false; n];
+        // Set when a zero-timeout poll past the deadline came back empty.
+        let mut drained = false;
 
         loop {
             // Heartbeat silence arrives as HeartbeatTimeout events off the
@@ -778,10 +787,7 @@ impl MasterLoop {
                 .pending(&eligible, |w| declined[w] || codewords[w].is_some());
             let done = match self.config.wait {
                 WaitPolicy::FirstW(w) => arrivals.len() >= w || alive_pending == 0,
-                WaitPolicy::Deadline(_) => {
-                    let expired = cutoff.is_some_and(|c| Instant::now() >= c);
-                    (expired && !arrivals.is_empty()) || alive_pending == 0
-                }
+                WaitPolicy::Deadline(_) => drained || alive_pending == 0,
             };
             if done {
                 if arrivals.is_empty() && !self.members.any_alive() {
@@ -802,7 +808,10 @@ impl MasterLoop {
                 });
             }
 
-            let Some(event) = self.members.transport().next_event(POLL)? else {
+            let draining = !arrivals.is_empty() && cutoff.is_some_and(|c| Instant::now() >= c);
+            let timeout = if draining { Duration::ZERO } else { POLL };
+            let Some(event) = self.members.transport().next_event(timeout)? else {
+                drained = draining;
                 continue;
             };
             match self.members.react(event) {

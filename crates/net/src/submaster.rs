@@ -215,19 +215,28 @@ impl Collector for TreeRootLoop {
         // saw this step's broadcast: its first step is the next one.
         let eligible = self.members.snapshot();
         let mut reports: Vec<Option<ShardReport>> = (0..submasters).map(|_| None).collect();
+        // The cutoff may have passed before collection started (the engine
+        // runs the loss, checkpoint and observer after `send`), so past it
+        // the root takes every upload already queued — zero-timeout polls —
+        // and closes on the first quiet one.
+        let mut drained = false;
         loop {
             let pending = self.members.pending(&eligible, |s| reports[s].is_some());
-            let expired = cutoff.is_some_and(|c| Instant::now() >= c);
             let uploaded = reports.iter().filter(|r| r.is_some()).count();
-            if pending == 0 || (expired && uploaded > 0) {
+            if pending == 0 || drained {
                 if uploaded == 0 && !self.members.any_alive() {
                     return Err(backend(NetError::AllWorkersLost));
                 }
                 break;
             }
-            let event = match self.members.transport().next_event(POLL) {
+            let draining = uploaded > 0 && cutoff.is_some_and(|c| Instant::now() >= c);
+            let timeout = if draining { Duration::ZERO } else { POLL };
+            let event = match self.members.transport().next_event(timeout) {
                 Ok(Some(event)) => event,
-                Ok(None) => continue,
+                Ok(None) => {
+                    drained = draining;
+                    continue;
+                }
                 Err(e) => return Err(backend(e)),
             };
             // Like codewords, the slot is authoritative over the claimed

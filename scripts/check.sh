@@ -29,7 +29,22 @@ cargo test -q --test obs_snapshot
 
 echo "== step-anatomy benchmark smoke (oracle equality, thread counts, bit-exact sim re-run)"
 # Every workload at toy size through the benchmark's own output checks.
-cargo test --release --offline --manifest-path stepbench/Cargo.toml
+# Building the benchmark rewrites its stale checked-in Cargo.lock; the lock
+# is put back afterwards, and the step fails if it left stepbench/ in any
+# other state than it found it, so the gate never dirties the benchmark.
+bench_state=$(git status --porcelain -- stepbench 2>/dev/null || true)
+bench_lock=$(mktemp)
+cp stepbench/Cargo.lock "$bench_lock"
+bench_status=0
+cargo test --release --offline --manifest-path stepbench/Cargo.toml || bench_status=$?
+cp "$bench_lock" stepbench/Cargo.lock
+rm -f "$bench_lock"
+if [ "$(git status --porcelain -- stepbench 2>/dev/null || true)" != "$bench_state" ]; then
+  echo "FAIL: the benchmark smoke step changed files under stepbench/:" >&2
+  git status --short -- stepbench >&2
+  exit 1
+fi
+[ "$bench_status" -eq 0 ] || exit "$bench_status"
 
 echo "== chaos smoke (seeded, deterministic)"
 cargo run --release --quiet -- chaos --plan smoke --seed 42

@@ -287,6 +287,53 @@ fn deadline_policy_closes_steps_without_stragglers() {
 }
 
 #[test]
+fn deadline_counts_codewords_queued_while_the_observer_runs() {
+    // The master sends step t+1 before its loss, checkpoint and observer
+    // run, so a deadline can pass before collection starts. Every codeword
+    // that arrived in the meantime is on time and must count: none may be
+    // left in the socket to turn stale in the next step.
+    let deadline = Duration::from_millis(100);
+    let placement = Placement::cyclic(N, C).expect("valid CR placement");
+    let config = cluster_config(placement.clone(), WaitPolicy::Deadline(deadline), 5);
+
+    let master = Master::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = master.local_addr().expect("local addr");
+    let master_handle = thread::spawn(move || {
+        master
+            .run_with(
+                &LinearRegression::new(FEATURES),
+                &shared_dataset(),
+                &config,
+                |_| thread::sleep(3 * deadline),
+            )
+            .expect("master run")
+    });
+    let workers: Vec<_> = (0..N)
+        .map(|_| {
+            thread::spawn(move || {
+                run_worker(addr, &WorkerOptions::default(), |_assignment| {
+                    (LinearRegression::new(FEATURES), shared_dataset())
+                })
+                .expect("worker run")
+            })
+        })
+        .collect();
+    let report = master_handle.join().expect("master thread");
+    for w in workers {
+        w.join().expect("worker thread");
+    }
+
+    assert_eq!(report.step_count(), 5);
+    for step in &report.steps {
+        let mut arrivals = step.arrivals.clone();
+        arrivals.sort_unstable();
+        assert_eq!(arrivals, (0..N).collect::<Vec<_>>(), "{step:?}");
+        assert_eq!(step.stale, 0, "{step:?}");
+    }
+    assert_matches_exact_oracle(&report, &placement);
+}
+
+#[test]
 fn heartbeat_silent_worker_still_gets_the_shutdown() {
     // FR(2, 1) waiting for both workers. The silent worker's heartbeats are
     // rarer than the master's timeout, and its compute blocks on a gate that

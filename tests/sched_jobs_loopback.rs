@@ -13,6 +13,7 @@ use std::time::Duration;
 
 use isgc_core::Placement;
 use isgc_engine::{shard_ranges, TrainReport};
+use isgc_linalg::Vector;
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::LinearRegression;
 use isgc_net::{
@@ -96,10 +97,52 @@ fn spawn_worker(addr: std::net::SocketAddr, job: u64, seed: u64) -> thread::Join
     })
 }
 
+/// A co-tenant with no network: each step only sleeps, standing in for a
+/// job whose step takes a long time.
+struct SleepyJob {
+    nap: Duration,
+    steps_left: usize,
+}
+
+impl JobDriver for SleepyJob {
+    fn step(&mut self) -> Result<SessionStatus, DriverError> {
+        if self.steps_left == 0 {
+            return Ok(SessionStatus::Done);
+        }
+        thread::sleep(self.nap);
+        self.steps_left -= 1;
+        Ok(SessionStatus::Running)
+    }
+
+    fn finish(self: Box<Self>) -> TrainReport {
+        TrainReport {
+            n: 0,
+            steps: Vec::new(),
+            reached_threshold: false,
+            interrupted: false,
+            wall_time: 0.0,
+            final_params: Vector::zeros(0),
+        }
+    }
+}
+
 /// Runs every tenant concurrently under one fair-round-robin scheduler and
 /// returns their reports in job order.
 fn run_cluster(tenants: &[Tenant]) -> Vec<TrainReport> {
-    let mut sched = Scheduler::new(SchedulerConfig::new(tenants.len(), 0));
+    run_cluster_with(tenants, WaitPolicy::FirstW(N), None)
+}
+
+/// [`run_cluster`] under `wait`, with an optional [`SleepyJob`] co-tenant
+/// stepped after the networked ones; only the networked reports return.
+fn run_cluster_with(
+    tenants: &[Tenant],
+    wait: WaitPolicy,
+    sleepy: Option<Duration>,
+) -> Vec<TrainReport> {
+    let mut sched = Scheduler::new(SchedulerConfig::new(
+        tenants.len() + usize::from(sleepy.is_some()),
+        0,
+    ));
     let mut workers = Vec::new();
     let mut subs = Vec::new();
 
@@ -127,7 +170,8 @@ fn run_cluster(tenants: &[Tenant]) -> Vec<TrainReport> {
                 workers.push(spawn_worker(root_addr, job, tenant.seed));
             }
         }
-        let config = job_config(job, tenant);
+        let mut config = job_config(job, tenant);
+        config.wait = wait;
         sched
             .submit_driver(
                 format!("tenant-{job}"),
@@ -152,7 +196,22 @@ fn run_cluster(tenants: &[Tenant]) -> Vec<TrainReport> {
             .expect("submit job");
     }
 
-    let outcomes = sched.run_to_completion();
+    if let Some(nap) = sleepy {
+        sched
+            .submit_driver(
+                "sleepy",
+                Box::new(move || {
+                    Ok(Box::new(SleepyJob {
+                        nap,
+                        steps_left: STEPS,
+                    }) as Box<dyn JobDriver>)
+                }),
+            )
+            .expect("submit sleepy job");
+    }
+
+    let mut outcomes = sched.run_to_completion();
+    outcomes.truncate(tenants.len());
     for sub in subs {
         let summary = sub.join().expect("sub-master thread");
         assert!(summary.clean_shutdown, "sub-master saw no Shutdown");
@@ -218,5 +277,34 @@ fn four_cotenant_jobs_match_their_solo_flat_runs_bitwise() {
             tenant.seed,
             tenant.tree
         );
+    }
+}
+
+#[test]
+fn deadline_jobs_count_codewords_queued_behind_a_slow_cotenant() {
+    // Each job sends its next step before the scheduler moves on, so a
+    // co-tenant step longer than the deadline runs out a job's cutoff
+    // before its collection starts. What its workers (flat) or sub-masters
+    // (tree) delivered meanwhile is on time and must all count.
+    let deadline = Duration::from_millis(100);
+    let tenants = [
+        Tenant {
+            seed: 11,
+            tree: false,
+        },
+        Tenant {
+            seed: 22,
+            tree: true,
+        },
+    ];
+    let reports = run_cluster_with(&tenants, WaitPolicy::Deadline(deadline), Some(3 * deadline));
+    for (j, report) in reports.iter().enumerate() {
+        assert_eq!(report.step_count(), STEPS);
+        for step in &report.steps {
+            let mut arrivals = step.arrivals.clone();
+            arrivals.sort_unstable();
+            assert_eq!(arrivals, (0..N).collect::<Vec<_>>(), "tenant {j}: {step:?}");
+            assert_eq!(step.stale, 0, "tenant {j}: {step:?}");
+        }
     }
 }
